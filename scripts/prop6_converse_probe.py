@@ -5,8 +5,8 @@ The converse claim in the catalog only recovers plain regularity from
 B = (BB] for every bi-ideal.  This script hunts for a structure with the
 product property that is not completely regular, which would show the
 converse cannot be strengthened as stated.  It scans every canonical
-structure inside the cell guard and a seeded random sample at n = 4, and
-prints any witnesses found.
+structure inside the cell guard, up to (4, 1), and a seeded random
+sample at n = 4, and prints any witnesses found.
 
 Run from the repository root: python3 scripts/prop6_converse_probe.py
 """
@@ -16,7 +16,7 @@ import argparse
 from pogamma.enumeration import EnumSpec, classify, enumerate_structures, random_structures
 from pogamma.formats import serialize_structure
 
-COMBOS = ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2))
+COMBOS = ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1))
 
 
 def scan(structures, label: str, witnesses: list) -> None:

@@ -15,7 +15,7 @@ from pathlib import Path
 from pogamma.enumeration import EnumSpec, sweep
 from pogamma.formats import serialize_report
 
-COMBOS = ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2))
+COMBOS = ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1))
 
 
 def main() -> None:

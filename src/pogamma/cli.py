@@ -2,7 +2,8 @@
 
 Exit codes are part of the contract: 0 means every requested check
 passed, 1 means some claim was violated, 2 means the input could not be
-checked at all (unreadable, unparseable, axiom-breaking, or bad usage).
+checked at all (unreadable, unparseable, axiom-breaking, or bad usage)
+or the report could not be written to --out.
 """
 
 from __future__ import annotations
@@ -17,19 +18,22 @@ from .formats import FormatError, ValidationFailed
 from .theorems import THEOREM_IDS, CheckReport
 
 
+class OutputError(Exception):
+    """The report could not be written to the --out path."""
+
+
 def _emit(text: str, out) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as e:
+            raise OutputError(f"cannot write {out}: {e.strerror or e}") from e
     else:
         sys.stdout.write(text)
 
 
 def _fmt_set(members) -> str:
     return "{" + ", ".join(str(x) for x in sorted(members)) + "}"
-
-
-def _fmt_witness(w) -> str:
-    return "none" if w is None else "(" + ", ".join(str(v) for v in w.data) + ")"
 
 
 def cmd_validate(args) -> int:
@@ -236,7 +240,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OutputError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

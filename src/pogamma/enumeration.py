@@ -4,18 +4,34 @@ isomorphism canonicalization and the claim sweep over everything found.
 Tables are generated depth first, one cell at a time in (letter, row,
 column) order, abandoning a partial fill as soon as some fully
 determined associativity instance fails.  Orders are generated as all
-partial orders on the universe and filtered by compatibility.  A sweep
-partitions work by the value of the first table cell, so any worker
-count reproduces the single-worker report byte for byte.
+partial orders on the universe and filtered by compatibility.
+
+Canonical forms are minimal byte encodings over every relabeling of
+elements and letters.  The encoding is table-major, so a structure is
+canonical exactly when its table is minimal over all relabelings and
+its order is minimal over the orbit of the table's automorphisms:
+generation rejects a table after one pass over its relabelings and
+tests each compatible order only against that table's automorphisms
+(lexicographic-minimum isomorph rejection, as in Read's orderly
+generation, 1978, and McKay, "Isomorph-free exhaustive generation",
+1998).  The brute `canonical_key`, which relabels whole structures,
+stays as the test oracle.
+
+A parallel sweep hands worker k the tables whose index in the table
+stream is k modulo the worker count and merges per-table results in
+index order, so any worker count reproduces the single-worker report
+byte for byte.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
+from operator import itemgetter
 
 from . import setcalc, theorems
 from .model import (
@@ -248,24 +264,73 @@ def canonical_key(s: PoGammaSemigroup) -> bytes:
     return best
 
 
+@lru_cache(maxsize=None)
+def _relabelings(n: int, m: int) -> tuple:
+    """(pi, table_src, order_src) for every element map pi and letter map
+    sigma: the relabeled table has flat cell k = pi[cells[table_src[k]]]
+    and the relabeled order has flat entry k = leq[order_src[k]]."""
+    out = []
+    for sigma in permutations(range(m)):
+        for pi in permutations(range(n)):
+            table_src = [0] * (m * n * n)
+            for g in range(m):
+                for a in range(n):
+                    for b in range(n):
+                        table_src[(sigma[g] * n + pi[a]) * n + pi[b]] = (g * n + a) * n + b
+            order_src = [0] * (n * n)
+            for a in range(n):
+                for b in range(n):
+                    order_src[pi[a] * n + pi[b]] = a * n + b
+            out.append((pi, tuple(table_src), tuple(order_src)))
+    return tuple(out)
+
+
+def _table_automorphisms(t: GammaTables):
+    """None when some relabeling gives the table a smaller encoding;
+    otherwise the distinct order maps (as order_src) of the non-identity
+    element maps among the relabelings that fix the table."""
+    cells = tuple(v for table in t.op for row in table for v in row)
+    identity = tuple(range(t.n))
+    autos = []
+    for pi, table_src, order_src in _relabelings(t.n, t.m):
+        moved = tuple(pi[cells[j]] for j in table_src)
+        if moved < cells:
+            return None
+        if moved == cells and pi != identity and order_src not in autos:
+            autos.append(order_src)
+    return autos
+
+
+def _order_is_minimal(order: OrderRelation, autos) -> bool:
+    flat = [v for row in order.leq for v in row]
+    return all([flat[j] for j in order_src] >= flat for order_src in autos)
+
+
+def _table_structures(spec: EnumSpec, t: GammaTables):
+    """The structures over table t that enumerate_structures keeps."""
+    autos = ()
+    if spec.canonical_only:
+        autos = _table_automorphisms(t)
+        if autos is None:
+            return
+    orders = enumerate_orders(t) if spec.require_order else (equality_order(t.n),)
+    for o in orders:
+        if not autos or _order_is_minimal(o, autos):
+            yield PoGammaSemigroup(tables=t, order=o)
+
+
 def enumerate_structures(spec: EnumSpec, prefix=()):
     """Yield po-structures at the requested size, depth first by table
     then order.
 
     Every yielded structure passes all three validators; with
     canonical_only, only structures equal to their own canonical form
-    survive, one per isomorphism class.
+    (structure_encoding(s) == canonical_key(s)) survive, one per
+    isomorphism class.  A table that is not minimal over its relabelings
+    is rejected before its orders are filtered.
     """
     for t in enumerate_tables(spec, prefix):
-        if spec.require_order:
-            orders = enumerate_orders(t)
-        else:
-            orders = [equality_order(t.n)]
-        for o in orders:
-            s = PoGammaSemigroup(tables=t, order=o)
-            if spec.canonical_only and structure_encoding(s) != canonical_key(s):
-                continue
-            yield s
+        yield from _table_structures(spec, t)
 
 
 @lru_cache(maxsize=None)
@@ -333,14 +398,14 @@ class SweepReport:
     violations: list
 
 
-def _sweep_partition(spec: EnumSpec, ids, prefix) -> SweepReport:
+def _tally(spec: EnumSpec, ids, structures) -> SweepReport:
     counts = {"regular": 0, "completely_regular": 0, "strongly_regular": 0,
               "product_property": 0}
     gap = 0
     gap_examples = []
     violations = []
     total = 0
-    for s in enumerate_structures(spec, prefix):
+    for s in structures:
         total += 1
         flags = classify(s)
         for key in counts:
@@ -383,12 +448,26 @@ def _merge_partitions(spec: EnumSpec, ids, parts) -> SweepReport:
     return merged
 
 
+def _sweep_share(spec: EnumSpec, ids, share: int, shares: int) -> list:
+    """(table index, per-table report) for the tables whose index in the
+    table stream is share modulo shares, skipping tables that keep no
+    structure."""
+    out = []
+    for i, t in enumerate(enumerate_tables(spec)):
+        if i % shares == share:
+            structures = list(_table_structures(spec, t))
+            if structures:
+                out.append((i, _tally(spec, ids, structures)))
+    return out
+
+
 def sweep(spec: EnumSpec, theorem_ids=None, workers: int = 1) -> SweepReport:
     """Enumerate per spec and run the selected checkers on every structure.
 
-    Work splits by the value of the first table cell; partial results
-    merge in ascending cell order, so the report is identical for any
-    worker count.
+    With several workers, worker k takes the tables whose index in the
+    enumerate_tables stream is k modulo the worker count (at most one
+    process per CPU runs at once); per-table results merge in index
+    order, so the report is identical for any worker count.
     """
     spec.validate()
     ids = tuple(theorem_ids) if theorem_ids else theorems.THEOREM_IDS
@@ -396,9 +475,10 @@ def sweep(spec: EnumSpec, theorem_ids=None, workers: int = 1) -> SweepReport:
     if unknown:
         raise ValueError(f"unknown theorem ids: {sorted(unknown)}")
     if workers > 1:
-        jobs = [(spec, ids, (v,)) for v in range(spec.n)]
-        with multiprocessing.Pool(min(workers, len(jobs))) as pool:
-            parts = pool.starmap(_sweep_partition, jobs)
+        jobs = [(spec, ids, k, workers) for k in range(workers)]
+        with multiprocessing.Pool(min(workers, os.cpu_count() or 1)) as pool:
+            shares = pool.starmap(_sweep_share, jobs)
+        parts = [report for _, report in sorted(chain.from_iterable(shares), key=itemgetter(0))]
     else:
-        parts = [_sweep_partition(spec, ids, ())]
+        parts = [_tally(spec, ids, enumerate_structures(spec))]
     return _merge_partitions(spec, ids, parts)

@@ -137,7 +137,10 @@ def save_structure(path, s: PoGammaSemigroup, name: str | None = None) -> None:
 
 def load_named(path) -> tuple[PoGammaSemigroup, str | None]:
     """Parse a structure file, then check every axiom before returning."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not valid UTF-8: {e}") from e
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

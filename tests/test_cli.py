@@ -62,6 +62,31 @@ def test_validate_axiom_failure_machine_report(tmp_path, capsys):
     assert report.failures[0][0] == "gamma-associativity"
 
 
+@pytest.mark.parametrize("command", ["validate", "check", "analyze"])
+def test_non_utf8_input_exits_2_without_output(command, tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"format": "pogamma.structure/1", "name": "caf\xe9"}')
+    out_path = tmp_path / "report.json"
+    assert main([command, str(path), "--format", "machine", "--out", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "not valid UTF-8" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n", "1", "--m", "1"],
+    ["check", MIN_CHAIN],
+])
+def test_out_into_missing_directory_exits_2(argv, tmp_path, capsys):
+    out_path = tmp_path / "absent" / "report.json"
+    assert main(argv + ["--format", "machine", "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write")
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
 def test_analyze_text(capsys):
     assert main(["analyze", NULL_TABLE]) == 0
     out = capsys.readouterr().out

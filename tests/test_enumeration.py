@@ -12,6 +12,7 @@ from conftest import (
     structure_pool,
     table_pool,
 )
+from pogamma import enumeration
 from pogamma.enumeration import (
     MAX_TABLE_CELLS,
     SWEEP_EXAMPLE_CAP,
@@ -44,10 +45,12 @@ LABELED_SPEC_2_2 = EnumSpec(2, 2, canonical_only=False)
 
 
 def test_table_counts_frozen():
+    # at m = 1 these are the labeled semigroups of order n, OEIS A023814
     assert len(table_pool(1, 1)) == 1
     assert len(table_pool(2, 1)) == 8
     assert len(table_pool(2, 2)) == 14
     assert len(table_pool(3, 1)) == 113
+    assert len(table_pool(4, 1)) == 3492
 
 
 def test_pruned_generation_equals_naive_generation():
@@ -190,6 +193,10 @@ def test_discrete_order_mode():
     pool = list(enumerate_structures(spec))
     assert len(pool) == 8
     assert all(s.order == equality_order(2) for s in pool)
+    # canonical: semigroups of order n up to isomorphism, OEIS A027851
+    counts = [sum(1 for _ in enumerate_structures(EnumSpec(n, 1, require_order=False)))
+              for n in range(1, 5)]
+    assert counts == [1, 5, 24, 188]
 
 
 def test_classify_named_structures():
@@ -237,11 +244,13 @@ def test_sweep_labeled_2_1():
 
 
 def test_sweep_workers_do_not_change_the_report():
-    spec = EnumSpec(2, 2)
-    solo = sweep(spec, workers=1)
-    duo = sweep(spec, workers=2)
-    assert solo == duo
-    assert serialize_report(solo) == serialize_report(duo)
+    # (1, 1) has a single table, so some workers get none
+    for spec in (EnumSpec(2, 2), EnumSpec(3, 1), LABELED_SPEC_2_2, EnumSpec(1, 1)):
+        solo = sweep(spec, workers=1)
+        for workers in (2, 3):
+            other = sweep(spec, workers=workers)
+            assert other == solo
+            assert serialize_report(other) == serialize_report(solo)
 
 
 def test_sweep_theorem_subset_and_unknown_id():
@@ -250,3 +259,27 @@ def test_sweep_theorem_subset_and_unknown_id():
     assert report.violations == []
     with pytest.raises(ValueError):
         sweep(EnumSpec(2, 1), theorem_ids=("prop4", "conjecture1"))
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+def test_canonical_generation_equals_the_brute_filter(n, m):
+    brute = [s for s in structure_pool(n, m, canonical=False)
+             if structure_encoding(s) == canonical_key(s)]
+    assert list(enumerate_structures(EnumSpec(n, m))) == brute
+
+
+def test_canonical_generation_never_calls_the_brute_key(monkeypatch):
+    def refuse(s):
+        raise AssertionError("canonical_key is the test oracle only")
+
+    monkeypatch.setattr(enumeration, "canonical_key", refuse)
+    assert len(list(enumerate_structures(EnumSpec(3, 1)))) == 173
+    assert sweep(EnumSpec(2, 2), workers=2).structures == 15
+
+
+def test_sweep_canonical_4_1():
+    report = sweep(EnumSpec(4, 1), workers=2)
+    assert report.structures == 4753
+    assert report.product_without_cr == 12
+    assert len(report.product_without_cr_examples) == SWEEP_EXAMPLE_CAP
+    assert report.violations == []
