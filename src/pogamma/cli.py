@@ -59,13 +59,9 @@ def _analysis_payload(s, name) -> dict:
     elements = []
     for a in range(s.n):
         row = {"element": a}
-        for key, kind in (("regular", "regular"),
-                          ("left_regular", "left-regular"),
-                          ("right_regular", "right-regular"),
-                          ("completely_regular", "completely-regular"),
-                          ("strongly_regular", "strongly-regular")):
+        for kind in setcalc.REGULARITY_KINDS:
             w = setcalc.regularity(s, a, kind)
-            row[key] = None if w is None else list(w.data)
+            row[kind.replace("-", "_")] = None if w is None else list(w.data)
         elements.append(row)
     bi_ideals = [{"members": sorted(b), "semiprime": setcalc.is_semiprime(s, b)}
                  for b in setcalc.all_bi_ideals(s)]
@@ -77,8 +73,8 @@ def _analysis_payload(s, name) -> dict:
         payload["name"] = name
     payload.update({
         "n": s.n, "m": s.m,
-        "completely_regular": setcalc.is_completely_regular(s) is None,
-        "strongly_regular": setcalc.is_strongly_regular(s) is None,
+        "completely_regular": all(row["completely_regular"] is not None for row in elements),
+        "strongly_regular": all(row["strongly_regular"] is not None for row in elements),
         "elements": elements,
         "bi_ideals": bi_ideals,
         "generated": generated,
@@ -95,11 +91,10 @@ def _analysis_text(payload) -> str:
     lines.append("elements:")
     for row in payload["elements"]:
         parts = []
-        for key in ("regular", "left_regular", "right_regular",
-                    "completely_regular", "strongly_regular"):
-            w = row[key]
+        for kind in setcalc.REGULARITY_KINDS:
+            w = row[kind.replace("-", "_")]
             shown = "none" if w is None else "(" + ", ".join(str(v) for v in w) + ")"
-            parts.append(f"{key.replace('_', '-')}={shown}")
+            parts.append(f"{kind}={shown}")
         lines.append(f"  {row['element']}: " + " ".join(parts))
     lines.append("bi-ideals:")
     for entry in payload["bi_ideals"]:

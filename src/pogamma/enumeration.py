@@ -28,7 +28,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from functools import lru_cache
 from itertools import chain, permutations, product
 from operator import itemgetter
@@ -38,6 +38,7 @@ from .model import (
     GammaTables,
     OrderRelation,
     PoGammaSemigroup,
+    _compatibility_failures,
     equality_order,
     validate_gamma_tables,
 )
@@ -197,18 +198,8 @@ def all_partial_orders(n: int) -> tuple:
 
 
 def order_compatible(tables: GammaTables, order: OrderRelation) -> bool:
-    """Fast two-sided compatibility test with early exit."""
-    op, leq, n, m = tables.op, order.leq, tables.n, tables.m
-    for a in range(n):
-        for b in range(n):
-            if a == b or not leq[a][b]:
-                continue
-            for g in range(m):
-                og = op[g]
-                for c in range(n):
-                    if not leq[og[a][c]][og[b][c]] or not leq[og[c][a]][og[c][b]]:
-                        return False
-    return True
+    """Two-sided compatibility test that stops at the first failure."""
+    return next(_compatibility_failures(tables, order), None) is None
 
 
 def enumerate_orders(tables: GammaTables):
@@ -357,7 +348,7 @@ def random_structures(n: int, m: int, count: int, seed: int):
 
 def classify(s: PoGammaSemigroup) -> dict:
     """Structure-level property flags used in sweep tallies."""
-    regular = all(setcalc.regularity(s, a, "regular") is not None for a in range(s.n))
+    regular = setcalc._least_without(s, "regular") is None
     completely = setcalc.is_completely_regular(s) is None
     strongly = setcalc.is_strongly_regular(s) is None
     product_prop = all(
@@ -381,70 +372,54 @@ class SweepViolation:
 class SweepReport:
     """Aggregate of one sweep: what was enumerated, per-class tallies,
     every violation, and the structures satisfying the bi-ideal product
-    property without being completely regular (the open converse gap)."""
+    property without being completely regular (the open converse gap).
+
+    The fields with defaults are the tallies: reports over disjoint sets
+    of structures merge by adding their counts and joining their lists.
+    """
 
     n: int
     m: int
     canonical: bool
     require_order: bool
     theorems: tuple[str, ...]
-    structures: int
-    regular_structures: int
-    completely_regular_structures: int
-    strongly_regular_structures: int
-    product_property_structures: int
-    product_without_cr: int
-    product_without_cr_examples: list
-    violations: list
+    structures: int = 0
+    regular_structures: int = 0
+    completely_regular_structures: int = 0
+    strongly_regular_structures: int = 0
+    product_property_structures: int = 0
+    product_without_cr: int = 0
+    product_without_cr_examples: list[PoGammaSemigroup] = field(default_factory=list)
+    violations: list[SweepViolation] = field(default_factory=list)
+
+
+_TALLIES = tuple(f.name for f in fields(SweepReport)
+                 if f.default is not MISSING or f.default_factory is not MISSING)
 
 
 def _tally(spec: EnumSpec, ids, structures) -> SweepReport:
-    counts = {"regular": 0, "completely_regular": 0, "strongly_regular": 0,
-              "product_property": 0}
-    gap = 0
-    gap_examples = []
-    violations = []
-    total = 0
+    r = SweepReport(spec.n, spec.m, spec.canonical_only, spec.require_order, tuple(ids))
     for s in structures:
-        total += 1
+        r.structures += 1
         flags = classify(s)
-        for key in counts:
-            if flags[key]:
-                counts[key] += 1
+        for key, flag in flags.items():
+            setattr(r, f"{key}_structures", getattr(r, f"{key}_structures") + flag)
         if flags["product_property"] and not flags["completely_regular"]:
-            gap += 1
-            if len(gap_examples) < SWEEP_EXAMPLE_CAP:
-                gap_examples.append(s)
-        for report in theorems.run_selected(s, ids):
-            if report.status == "violation":
-                violations.append(SweepViolation(structure=s, report=report))
-    return SweepReport(
-        n=spec.n, m=spec.m, canonical=spec.canonical_only,
-        require_order=spec.require_order, theorems=tuple(ids),
-        structures=total,
-        regular_structures=counts["regular"],
-        completely_regular_structures=counts["completely_regular"],
-        strongly_regular_structures=counts["strongly_regular"],
-        product_property_structures=counts["product_property"],
-        product_without_cr=gap,
-        product_without_cr_examples=gap_examples,
-        violations=violations,
-    )
+            r.product_without_cr += 1
+            if len(r.product_without_cr_examples) < SWEEP_EXAMPLE_CAP:
+                r.product_without_cr_examples.append(s)
+        r.violations += [SweepViolation(structure=s, report=report)
+                         for report in theorems.run_selected(s, ids)
+                         if report.status == "violation"]
+    return r
 
 
 def _merge_partitions(spec: EnumSpec, ids, parts) -> SweepReport:
-    merged = SweepReport(
-        n=spec.n, m=spec.m, canonical=spec.canonical_only,
-        require_order=spec.require_order, theorems=tuple(ids),
-        structures=sum(p.structures for p in parts),
-        regular_structures=sum(p.regular_structures for p in parts),
-        completely_regular_structures=sum(p.completely_regular_structures for p in parts),
-        strongly_regular_structures=sum(p.strongly_regular_structures for p in parts),
-        product_property_structures=sum(p.product_property_structures for p in parts),
-        product_without_cr=sum(p.product_without_cr for p in parts),
-        product_without_cr_examples=[s for p in parts for s in p.product_without_cr_examples][:SWEEP_EXAMPLE_CAP],
-        violations=[v for p in parts for v in p.violations],
-    )
+    merged = _tally(spec, ids, ())
+    for p in parts:
+        for name in _TALLIES:
+            setattr(merged, name, getattr(merged, name) + getattr(p, name))
+    del merged.product_without_cr_examples[SWEEP_EXAMPLE_CAP:]
     return merged
 
 

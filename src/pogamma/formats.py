@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import get_type_hints
 
 from .enumeration import SweepReport, SweepViolation
 from .model import (
@@ -161,14 +162,58 @@ def load(path) -> PoGammaSemigroup:
     return load_named(path)[0]
 
 
+def _expect(value, kind, what):
+    """value, once it is checked to be exactly of type kind."""
+    if type(value) is not kind:
+        raise FormatError(f"{what} must be of type {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _object(value, keys, what) -> dict:
+    """value, once it is checked to be an object with exactly these keys."""
+    if type(value) is not dict or set(value) != set(keys):
+        raise FormatError(f"{what} must be an object with keys {', '.join(keys)}")
+    return value
+
+
 def _check_payload(r: CheckReport) -> dict:
     return {"theorem": r.theorem_id, "status": r.status,
             "witness": r.witness, "detail": r.detail}
 
 
 def _payload_check(payload) -> CheckReport:
-    return CheckReport(theorem_id=payload["theorem"], status=payload["status"],
-                       witness=payload["witness"], detail=payload["detail"])
+    p = _object(payload, ("theorem", "status", "witness", "detail"), "a check report")
+    if p["witness"] is not None:
+        _expect(p["witness"], dict, "witness")
+    return CheckReport(theorem_id=_expect(p["theorem"], str, "theorem"),
+                       status=_expect(p["status"], str, "status"),
+                       witness=p["witness"], detail=_expect(p["detail"], str, "detail"))
+
+
+def _violation_payload(v: SweepViolation) -> dict:
+    return {"structure": structure_to_doc(v.structure), "report": _check_payload(v.report)}
+
+
+def _payload_violation(payload) -> SweepViolation:
+    p = _object(payload, ("structure", "report"), "a violation")
+    return SweepViolation(structure=doc_to_structure(p["structure"])[0],
+                          report=_payload_check(p["report"]))
+
+
+# SweepReport field type -> (to payload, from payload with a name for errors)
+_SWEEP_CODECS = {
+    int: (lambda v: v, lambda v, what: _expect(v, int, what)),
+    bool: (lambda v: v, lambda v, what: _expect(v, bool, what)),
+    tuple[str, ...]: (list, lambda v, what: tuple(_expect(x, str, what)
+                                                  for x in _expect(v, list, what))),
+    list[PoGammaSemigroup]: (lambda v: [structure_to_doc(s) for s in v],
+                             lambda v, what: [doc_to_structure(d)[0]
+                                              for d in _expect(v, list, what)]),
+    list[SweepViolation]: (lambda v: [_violation_payload(x) for x in v],
+                           lambda v, what: [_payload_violation(d)
+                                            for d in _expect(v, list, what)]),
+}
+_SWEEP_FIELDS = get_type_hints(SweepReport)
 
 
 def report_to_doc(r) -> dict:
@@ -185,58 +230,39 @@ def report_to_doc(r) -> dict:
         payload = {"reports": [_check_payload(x) for x in r]}
     elif isinstance(r, SweepReport):
         kind = "sweep"
-        payload = {
-            "n": r.n, "m": r.m,
-            "canonical": r.canonical,
-            "require_order": r.require_order,
-            "theorems": list(r.theorems),
-            "structures": r.structures,
-            "regular_structures": r.regular_structures,
-            "completely_regular_structures": r.completely_regular_structures,
-            "strongly_regular_structures": r.strongly_regular_structures,
-            "product_property_structures": r.product_property_structures,
-            "product_without_cr": r.product_without_cr,
-            "product_without_cr_examples": [structure_to_doc(s) for s in r.product_without_cr_examples],
-            "violations": [{"structure": structure_to_doc(v.structure),
-                            "report": _check_payload(v.report)}
-                           for v in r.violations],
-        }
+        payload = {name: _SWEEP_CODECS[t][0](getattr(r, name))
+                   for name, t in _SWEEP_FIELDS.items()}
     else:
         raise TypeError(f"cannot serialize report of type {type(r).__name__}")
     return {"format": REPORT_FORMAT, "kind": kind, "payload": payload}
 
 
 def doc_to_report(doc):
-    """Inverse of report_to_doc."""
+    """Inverse of report_to_doc; a malformed document raises FormatError."""
     if not isinstance(doc, dict) or doc.get("format") != REPORT_FORMAT:
         raise FormatError(f"report documents need format tag {REPORT_FORMAT!r}")
     kind = doc.get("kind")
     payload = doc.get("payload")
     if kind == "validation":
-        return ValidationReport.from_failures(
-            (name, tuple(wit)) for name, wit in payload["failures"])
+        p = _object(payload, ("ok", "failures"), "a validation payload")
+        _expect(p["ok"], bool, "ok")
+        failures = []
+        for f in _expect(p["failures"], list, "failures"):
+            if type(f) is not list or len(f) != 2:
+                raise FormatError("each failure must be an array [axiom, witness]")
+            failures.append((_expect(f[0], str, "axiom"), tuple(_expect(f[1], list, "witness"))))
+        if p["ok"] == bool(failures):
+            raise FormatError("ok must be true exactly when there are no failures")
+        return ValidationReport.from_failures(failures)
     if kind == "check":
         return _payload_check(payload)
     if kind == "checks":
-        return [_payload_check(p) for p in payload["reports"]]
+        p = _object(payload, ("reports",), "a checks payload")
+        return [_payload_check(r) for r in _expect(p["reports"], list, "reports")]
     if kind == "sweep":
-        return SweepReport(
-            n=payload["n"], m=payload["m"],
-            canonical=payload["canonical"],
-            require_order=payload["require_order"],
-            theorems=tuple(payload["theorems"]),
-            structures=payload["structures"],
-            regular_structures=payload["regular_structures"],
-            completely_regular_structures=payload["completely_regular_structures"],
-            strongly_regular_structures=payload["strongly_regular_structures"],
-            product_property_structures=payload["product_property_structures"],
-            product_without_cr=payload["product_without_cr"],
-            product_without_cr_examples=[doc_to_structure(d)[0]
-                                         for d in payload["product_without_cr_examples"]],
-            violations=[SweepViolation(structure=doc_to_structure(v["structure"])[0],
-                                       report=_payload_check(v["report"]))
-                        for v in payload["violations"]],
-        )
+        p = _object(payload, tuple(_SWEEP_FIELDS), "a sweep payload")
+        return SweepReport(**{name: _SWEEP_CODECS[t][1](p[name], name)
+                              for name, t in _SWEEP_FIELDS.items()})
     raise FormatError(f"unknown report kind {kind!r}")
 
 

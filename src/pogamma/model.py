@@ -173,6 +173,23 @@ def validate_order(o: OrderRelation) -> ValidationReport:
     return ValidationReport.from_failures(failures)
 
 
+def _compatibility_failures(tables: GammaTables, order: OrderRelation):
+    """Lazily yield the witness of each compatibility failure, as
+    validate_compatibility reports them."""
+    op, leq, n, m = tables.op, order.leq, tables.n, tables.m
+    for a in range(n):
+        for b in range(n):
+            if a == b or not leq[a][b]:
+                continue
+            for c in range(n):
+                for g in range(m):
+                    og = op[g]
+                    if not leq[og[a][c]][og[b][c]]:
+                        yield (a, b, c, g, "left")
+                    if not leq[og[c][a]][og[c][b]]:
+                        yield (a, b, c, g, "right")
+
+
 def validate_compatibility(s: PoGammaSemigroup) -> ValidationReport:
     """Report every place the order fails to survive multiplication.
 
@@ -180,19 +197,8 @@ def validate_compatibility(s: PoGammaSemigroup) -> ValidationReport:
     (a g c against b g c), side "right" that it sits on the right.
     Witnesses are (a, b, c, g, side).
     """
-    op, leq, n, m = s.tables.op, s.order.leq, s.n, s.m
-    failures = []
-    for a in range(n):
-        for b in range(n):
-            if a == b or not leq[a][b]:
-                continue
-            for c in range(n):
-                for g in range(m):
-                    if not leq[op[g][a][c]][op[g][b][c]]:
-                        failures.append(("compatibility", (a, b, c, g, "left")))
-                    if not leq[op[g][c][a]][op[g][c][b]]:
-                        failures.append(("compatibility", (a, b, c, g, "right")))
-    return ValidationReport.from_failures(failures)
+    return ValidationReport.from_failures(
+        ("compatibility", w) for w in _compatibility_failures(s.tables, s.order))
 
 
 def validate_structure(s: PoGammaSemigroup) -> ValidationReport:

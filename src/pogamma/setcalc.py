@@ -10,16 +10,36 @@ product through the whole universe M.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .model import PoGammaSemigroup
 
-REGULARITY_KINDS = (
-    "regular",
-    "left-regular",
-    "right-regular",
-    "completely-regular",
-    "strongly-regular",
-)
+
+def _regular(op, leq, a, x, g, u):
+    """a <= (a g x) u a"""
+    return leq[a][op[u][op[g][a][x]][a]]
+
+
+def _commute(op, a, x, g, u):
+    """a g x = x g a = x u a = a u x, what strong regularity adds to regular."""
+    ax = op[g][a][x]
+    return ax == op[g][x][a] == op[u][x][a] == op[u][a][x]
+
+
+# kind -> (letter slots, predicate(op, leq, a, element, *letters)): the
+# one definition of each regularity inequality; regularity() lists them
+# in the notation of the paper.  The strong predicate tests the equalities
+# first because they fail far more often than the inequality.
+_INEQUALITIES = {
+    "regular": (2, _regular),
+    "left-regular": (2, lambda op, leq, a, z, g, u: leq[a][op[u][op[g][z][a]][a]]),
+    "right-regular": (2, lambda op, leq, a, y, g, u: leq[a][op[u][op[g][a][a]][y]]),
+    "completely-regular": (4, lambda op, leq, a, x, g1, g2, g3, g4:
+                           leq[a][op[g3][op[g2][op[g1][a][a]][x]][op[g4][a][a]]]),
+    "strongly-regular": (2, lambda op, leq, a, x, g, u:
+                         _commute(op, a, x, g, u) and _regular(op, leq, a, x, g, u)),
+}
+REGULARITY_KINDS = tuple(_INEQUALITIES)
 
 
 def downward_closure(s: PoGammaSemigroup, a) -> frozenset:
@@ -128,26 +148,22 @@ class RegularityWitness:
 
 def witness_holds(s: PoGammaSemigroup, w: RegularityWitness) -> bool:
     """Re-evaluate the defining inequality of a witness."""
-    a = w.element
-    p = s.prod
-    if w.kind == "regular":
-        x, g, u = w.data
-        return s.le(a, p(u, p(g, a, x), a))
-    if w.kind == "left-regular":
-        z, g, u = w.data
-        return s.le(a, p(u, p(g, z, a), a))
-    if w.kind == "right-regular":
-        y, g, u = w.data
-        return s.le(a, p(u, p(g, a, a), y))
-    if w.kind == "completely-regular":
-        x, g1, g2, g3, g4 = w.data
-        return s.le(a, p(g3, p(g2, p(g1, a, a), x), p(g4, a, a)))
-    if w.kind == "strongly-regular":
-        x, g, u = w.data
-        ax = p(g, a, x)
-        return (s.le(a, p(u, ax, a))
-                and ax == p(g, x, a) == p(u, x, a) == p(u, a, x))
-    raise ValueError(f"unknown witness kind {w.kind!r}")
+    if w.kind not in _INEQUALITIES:
+        raise ValueError(f"unknown witness kind {w.kind!r}")
+    letters, holds = _INEQUALITIES[w.kind]
+    if len(w.data) != 1 + letters:
+        raise ValueError(f"{w.kind} witness data needs {1 + letters} entries, got {len(w.data)}")
+    return holds(s.tables.op, s.order.leq, w.element, *w.data)
+
+
+def _first_hit(s: PoGammaSemigroup, a: int, kind: str, pool):
+    """First data tuple, element from pool, that witnesses kind for a."""
+    letters, holds = _INEQUALITIES[kind]
+    op, leq = s.tables.op, s.order.leq
+    for data in product(pool, *[range(s.m)] * letters):
+        if holds(op, leq, a, *data):
+            return data
+    return None
 
 
 def regularity(s: PoGammaSemigroup, a: int, kind: str):
@@ -163,67 +179,31 @@ def regularity(s: PoGammaSemigroup, a: int, kind: str):
       strongly-regular    (x, g, u)           as regular, plus
                                               a g x = x g a = x u a = a u x
     """
-    n, m = s.n, s.m
-    p = s.prod
-    le = s.le
-    if kind == "regular":
-        for x in range(n):
-            for g in range(m):
-                for u in range(m):
-                    if le(a, p(u, p(g, a, x), a)):
-                        return RegularityWitness(kind, a, (x, g, u))
-        return None
-    if kind == "left-regular":
-        for z in range(n):
-            for g in range(m):
-                for u in range(m):
-                    if le(a, p(u, p(g, z, a), a)):
-                        return RegularityWitness(kind, a, (z, g, u))
-        return None
-    if kind == "right-regular":
-        for y in range(n):
-            for g in range(m):
-                for u in range(m):
-                    if le(a, p(u, p(g, a, a), y)):
-                        return RegularityWitness(kind, a, (y, g, u))
-        return None
-    if kind == "completely-regular":
-        for x in range(n):
-            for g1 in range(m):
-                for g2 in range(m):
-                    for g3 in range(m):
-                        for g4 in range(m):
-                            if le(a, p(g3, p(g2, p(g1, a, a), x), p(g4, a, a))):
-                                return RegularityWitness(kind, a, (x, g1, g2, g3, g4))
-        return None
-    if kind == "strongly-regular":
-        for x in range(n):
-            for g in range(m):
-                for u in range(m):
-                    ax = p(g, a, x)
-                    if (le(a, p(u, ax, a))
-                            and ax == p(g, x, a) == p(u, x, a) == p(u, a, x)):
-                        return RegularityWitness(kind, a, (x, g, u))
-        return None
-    raise ValueError(f"unknown regularity kind {kind!r}, expected one of {REGULARITY_KINDS}")
+    if kind not in _INEQUALITIES:
+        raise ValueError(f"unknown regularity kind {kind!r}, expected one of {REGULARITY_KINDS}")
+    data = _first_hit(s, a, kind, range(s.n))
+    return None if data is None else RegularityWitness(kind, a, data)
+
+
+def _least_without(s: PoGammaSemigroup, *kinds):
+    """Least element lacking a witness of any of the kinds, or None."""
+    for a in range(s.n):
+        for kind in kinds:
+            if regularity(s, a, kind) is None:
+                return a
+    return None
 
 
 def is_completely_regular(s: PoGammaSemigroup):
     """None when every element has a completely-regular witness, else the
     least element without one."""
-    for a in range(s.n):
-        if regularity(s, a, "completely-regular") is None:
-            return a
-    return None
+    return _least_without(s, "completely-regular")
 
 
 def is_strongly_regular(s: PoGammaSemigroup):
     """None when every element has a strongly-regular witness, else the
     least element without one."""
-    for a in range(s.n):
-        if regularity(s, a, "strongly-regular") is None:
-            return a
-    return None
+    return _least_without(s, "strongly-regular")
 
 
 def compose_cr_witness(s: PoGammaSemigroup, a: int, reg: RegularityWitness,
@@ -259,19 +239,4 @@ def is_strongly_regular_subset(s: PoGammaSemigroup, t, witness_in_subset: bool =
     if not is_subsemigroup(s, t):
         raise ValueError("expected a subsemigroup")
     pool = sorted(t) if witness_in_subset else range(s.n)
-    p = s.prod
-    for b in sorted(t):
-        if not _strong_witness_in(s, b, pool, p):
-            return False
-    return True
-
-
-def _strong_witness_in(s, b, pool, p):
-    for x in pool:
-        for g in range(s.m):
-            for u in range(s.m):
-                bx = p(g, b, x)
-                if (s.le(b, p(u, bx, b))
-                        and bx == p(g, x, b) == p(u, x, b) == p(u, b, x)):
-                    return True
-    return False
+    return all(_first_hit(s, b, "strongly-regular", pool) is not None for b in sorted(t))

@@ -27,7 +27,7 @@ from .setcalc import (
     witness_holds,
     word_product,
 )
-from .setcalc import RegularityWitness
+from .setcalc import RegularityWitness, _commute, _least_without, _regular
 
 THEOREM_IDS = (
     "prop2",
@@ -67,11 +67,10 @@ def _violated(tid: str, witness: dict, detail: str) -> CheckReport:
 def check_prop2(s: PoGammaSemigroup) -> CheckReport:
     """B(x) M B(y) <= (x M y] for all elements x, y."""
     u = s.universe
+    generated = [bi_ideal_generated_formula(s, {a}) for a in range(s.n)]
     for x in range(s.n):
-        bx = bi_ideal_generated_formula(s, {x})
         for y in range(s.n):
-            by = bi_ideal_generated_formula(s, {y})
-            lhs = word_product(s, [bx, u, by])
+            lhs = word_product(s, [generated[x], u, generated[y]])
             rhs = downward_closure(s, word_product(s, [{x}, u, {y}]))
             extra = lhs - rhs
             if extra:
@@ -84,13 +83,7 @@ def check_prop2(s: PoGammaSemigroup) -> CheckReport:
 def check_prop3(s: PoGammaSemigroup) -> CheckReport:
     """Regular + left regular + right regular everywhere is the same as
     the one-inequality form a <= (a g1 a) g2 x g3 (a g4 a) everywhere."""
-    conj_fail = None
-    for a in range(s.n):
-        if (regularity(s, a, "regular") is None
-                or regularity(s, a, "left-regular") is None
-                or regularity(s, a, "right-regular") is None):
-            conj_fail = a
-            break
+    conj_fail = _least_without(s, "regular", "left-regular", "right-regular")
     single_fail = is_completely_regular(s)
     conj = conj_fail is None
     single = single_fail is None
@@ -169,11 +162,7 @@ def check_prop6(s: PoGammaSemigroup) -> tuple[CheckReport, CheckReport]:
     else:
         state = "applies" if cr else "is vacuous (not completely regular)"
         forward = _passed("prop6-forward", f"forward direction {state}")
-    reg_fail = None
-    for a in range(s.n):
-        if regularity(s, a, "regular") is None:
-            reg_fail = a
-            break
+    reg_fail = _least_without(s, "regular")
     if product_prop and reg_fail is not None:
         converse = _violated("prop6-converse", {"element": reg_fail},
                              f"every bi-ideal equals (BB] yet {reg_fail} is not regular")
@@ -213,13 +202,14 @@ def check_thm8(s: PoGammaSemigroup) -> CheckReport:
     a g y = y g a = y u a = a u y."""
     if is_strongly_regular(s) is not None:
         return _passed("thm8", "vacuous: not strongly regular")
-    p = s.prod
+    op, leq = s.tables.op, s.order.leq
     for a in range(s.n):
         x, g, u = regularity(s, a, "strongly-regular").data
         y, _, _ = thm8_witness(s, a, x, g, u)
-        a_ok = s.le(a, p(u, p(g, a, y), a))
-        y_ok = s.le(y, p(g, p(u, y, a), y))
-        four_ok = p(g, a, y) == p(g, y, a) == p(u, y, a) == p(u, a, y)
+        # a <= (a g y) u a and y <= (y u a) g y are plain regularity
+        a_ok = _regular(op, leq, a, y, g, u)
+        y_ok = _regular(op, leq, y, a, u, g)
+        four_ok = _commute(op, a, y, g, u)
         if not (a_ok and y_ok and four_ok):
             return _violated("thm8",
                              {"a": a, "x": x, "y": y, "g": g, "u": u,
@@ -251,9 +241,8 @@ def check_thm9(s: PoGammaSemigroup) -> CheckReport:
                              f"(M {a} M] is not a subsemigroup")
         if not is_strongly_regular_subset(s, span):
             sub_ok = False
-    left_all = all(regularity(s, a, "left-regular") is not None for a in range(s.n))
-    right_all = all(regularity(s, a, "right-regular") is not None for a in range(s.n))
-    b2 = left_all and right_all and sub_ok
+    one_sided = _least_without(s, "left-regular", "right-regular") is None
+    b2 = one_sided and sub_ok
     sided_ok = True
     for a in range(s.n):
         in_left = a in downward_closure(s, word_product(s, [u, {a}]))

@@ -1,5 +1,6 @@
 """Command line contract: output shapes, exit codes, and byte stability."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -117,6 +118,34 @@ def test_analyze_machine_is_byte_stable(capsys):
                                     {"members": [0, 1], "semiprime": True}]
     assert payload["generated"] == [{"element": 0, "bi_ideal": [0]},
                                     {"element": 1, "bi_ideal": [0, 1]}]
+
+
+# sha256 of `<command> <fixture> --format machine` on stdout; any change
+# to a single-structure machine report must change these on purpose
+MACHINE_SHA256 = {
+    ("analyze", "left_zero.json"): "d7626d696a48abdd573256aff0c0ca6683a8f9ed0d1258d88241c5834dc3fda1",
+    ("check", "left_zero.json"): "6fe526a97d16defa540fcf10e2caf9588fe43e9eb53f9648bd7f837af6a22acd",
+    ("validate", "left_zero.json"): "40dc57eb9882033611f7f075cb21ae48a96a629660c406f0f28dd57e96996a4a",
+    ("analyze", "min_chain.json"): "4b1af99c99fa73b161e973e1226ede3363a0eb55718371e1f0b8338e045efa6e",
+    ("check", "min_chain.json"): "6fe526a97d16defa540fcf10e2caf9588fe43e9eb53f9648bd7f837af6a22acd",
+    ("validate", "min_chain.json"): "40dc57eb9882033611f7f075cb21ae48a96a629660c406f0f28dd57e96996a4a",
+    ("analyze", "null_table.json"): "6c644a3e1f24397f255a13726f5336d86d0db489f2e6e6c3e911d6ffb4ddbbb2",
+    ("check", "null_table.json"): "daf93c6bedbb506d496c3f4fa273998413d7113207dbef6f3ce76d27180eff66",
+    ("validate", "null_table.json"): "40dc57eb9882033611f7f075cb21ae48a96a629660c406f0f28dd57e96996a4a",
+    ("analyze", "one_element.json"): "6c0b3f52faebbe674686f5ed80f3a89c8416655ee45435a3a0e4aeecb588aac0",
+    ("check", "one_element.json"): "6fe526a97d16defa540fcf10e2caf9588fe43e9eb53f9648bd7f837af6a22acd",
+    ("validate", "one_element.json"): "40dc57eb9882033611f7f075cb21ae48a96a629660c406f0f28dd57e96996a4a",
+    ("analyze", "product_gap.json"): "0bf9ac05067e813df6be733816bd5c9b75162ee56b301130980eed3634d1582d",
+    ("check", "product_gap.json"): "382d2f551f2d1333f4f0ab056a8f34442ceb968ef202588dda07d94b44453cd0",
+    ("validate", "product_gap.json"): "40dc57eb9882033611f7f075cb21ae48a96a629660c406f0f28dd57e96996a4a",
+}
+
+
+@pytest.mark.parametrize("command,fixture", sorted(MACHINE_SHA256))
+def test_single_structure_machine_reports_are_pinned(command, fixture, capsys):
+    assert main([command, str(FIXTURE_DIR / fixture), "--format", "machine"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == MACHINE_SHA256[command, fixture]
 
 
 def test_check_all_pass(capsys):

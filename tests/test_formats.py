@@ -176,6 +176,18 @@ def test_report_doc_rejections():
         report_to_doc(object())
 
 
+@pytest.mark.parametrize("kind,payload", [
+    ("check", {}),
+    ("sweep", []),
+    ("checks", None),
+    ("validation", {"failures": [["x", 1]]}),
+    ("validation", {"ok": True, "failures": [["x", [1]]]}),
+])
+def test_malformed_report_payloads_are_format_errors(kind, payload):
+    with pytest.raises(FormatError):
+        doc_to_report({"format": REPORT_FORMAT, "kind": kind, "payload": payload})
+
+
 def test_serialized_reports_are_byte_stable():
     report = sweep(EnumSpec(2, 1))
     assert serialize_report(report) == serialize_report(report)

@@ -219,6 +219,44 @@ def test_regularity_agrees_with_exhaustive_first_hit():
                 assert regularity(s, a, kind) == _first_witness_brute(s, a, kind)
 
 
+def _inequality_literal(s, kind, a, data):
+    # each inequality written out on its own, independent of setcalc
+    p, le = s.prod, s.le
+    if kind == "regular":
+        x, g, u = data
+        return le(a, p(u, p(g, a, x), a))
+    if kind == "left-regular":
+        z, g, u = data
+        return le(a, p(u, p(g, z, a), a))
+    if kind == "right-regular":
+        y, g, u = data
+        return le(a, p(u, p(g, a, a), y))
+    if kind == "completely-regular":
+        x, g1, g2, g3, g4 = data
+        return le(a, p(g3, p(g2, p(g1, a, a), x), p(g4, a, a)))
+    x, g, u = data
+    return (le(a, p(u, p(g, a, x), a))
+            and p(g, a, x) == p(g, x, a) == p(u, x, a) == p(u, a, x))
+
+
+def test_witness_holds_matches_the_literal_inequalities():
+    for s in structure_pool(2, 2):
+        for a in range(s.n):
+            for kind in REGULARITY_KINDS:
+                width = _DATA_WIDTH[kind]
+                for data in product(range(s.n), *[range(s.m)] * (width - 1)):
+                    assert witness_holds(s, RegularityWitness(kind, a, data)) == \
+                        _inequality_literal(s, kind, a, data), (kind, a, data)
+
+
+def test_witness_data_of_the_wrong_width_is_rejected():
+    s = make_min_chain()
+    with pytest.raises(ValueError):
+        witness_holds(s, RegularityWitness("regular", 0, (0, 0)))
+    with pytest.raises(ValueError):
+        witness_holds(s, RegularityWitness("completely-regular", 0, (0, 0, 0)))
+
+
 def test_unknown_kind_rejected():
     s = make_min_chain()
     with pytest.raises(ValueError):
