@@ -27,6 +27,7 @@ from .setcalc import (
     is_strongly_regular,
     is_strongly_regular_subset,
     is_subsemigroup,
+    product_failure,
     regularity,
     semiprime_failure,
     set_product,

@@ -44,9 +44,6 @@ def cmd_validate(args) -> int:
         if args.format == "machine":
             _emit(formats.serialize_report(e.report), args.out)
         return 2
-    except (FormatError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     if args.format == "machine":
         _emit(formats.serialize_report(formats.validate_structure(s)), args.out)
     else:
@@ -107,11 +104,7 @@ def _analysis_text(payload) -> str:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        s, name = formats.load_named(args.path)
-    except (ValidationFailed, FormatError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    s, name = formats.load_named(args.path)
     payload = _analysis_payload(s, name)
     if args.format == "machine":
         doc = {"format": formats.REPORT_FORMAT, "kind": "analysis", "payload": payload}
@@ -132,11 +125,7 @@ def _check_text(reports) -> str:
 
 
 def cmd_check(args) -> int:
-    try:
-        s, _ = formats.load_named(args.path)
-    except (ValidationFailed, FormatError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    s, _ = formats.load_named(args.path)
     ids = THEOREM_IDS if args.theorem == "all" else (args.theorem,)
     reports = theorems.run_selected(s, ids)
     if args.force_violation:
@@ -237,7 +226,7 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else 2
     try:
         return args.func(args)
-    except OutputError as e:
+    except (OutputError, FormatError, ValidationFailed, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -348,17 +348,11 @@ def random_structures(n: int, m: int, count: int, seed: int):
 
 def classify(s: PoGammaSemigroup) -> dict:
     """Structure-level property flags used in sweep tallies."""
-    regular = setcalc._least_without(s, "regular") is None
-    completely = setcalc.is_completely_regular(s) is None
-    strongly = setcalc.is_strongly_regular(s) is None
-    product_prop = all(
-        setcalc.downward_closure(s, setcalc.set_product(s, b, b)) == b
-        for b in setcalc.all_bi_ideals(s))
     return {
-        "regular": regular,
-        "completely_regular": completely,
-        "strongly_regular": strongly,
-        "product_property": product_prop,
+        "regular": setcalc._least_without(s, "regular") is None,
+        "completely_regular": setcalc.is_completely_regular(s) is None,
+        "strongly_regular": setcalc.is_strongly_regular(s) is None,
+        "product_property": setcalc.product_failure(s) is None,
     }
 
 
@@ -439,19 +433,20 @@ def _sweep_share(spec: EnumSpec, ids, share: int, shares: int) -> list:
 def sweep(spec: EnumSpec, theorem_ids=None, workers: int = 1) -> SweepReport:
     """Enumerate per spec and run the selected checkers on every structure.
 
-    With several workers, worker k takes the tables whose index in the
-    enumerate_tables stream is k modulo the worker count (at most one
-    process per CPU runs at once); per-table results merge in index
-    order, so the report is identical for any worker count.
+    Workers are capped at the CPU count (each one regenerates the table
+    stream); worker k takes the tables whose index in that stream is k
+    modulo the worker count, and per-table results merge in index order,
+    so the report is identical for any worker count.
     """
     spec.validate()
     ids = tuple(theorem_ids) if theorem_ids else theorems.THEOREM_IDS
     unknown = set(ids) - set(theorems.THEOREM_IDS)
     if unknown:
         raise ValueError(f"unknown theorem ids: {sorted(unknown)}")
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         jobs = [(spec, ids, k, workers) for k in range(workers)]
-        with multiprocessing.Pool(min(workers, os.cpu_count() or 1)) as pool:
+        with multiprocessing.Pool(workers) as pool:
             shares = pool.starmap(_sweep_share, jobs)
         parts = [report for _, report in sorted(chain.from_iterable(shares), key=itemgetter(0))]
     else:

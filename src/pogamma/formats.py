@@ -144,8 +144,10 @@ def load_named(path) -> tuple[PoGammaSemigroup, str | None]:
         raise FormatError(f"{path}: not valid UTF-8: {e}") from e
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or a number too long for int()
         raise FormatError(f"{path}: not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise FormatError(f"{path}: JSON nested too deeply to parse") from e
     try:
         s, name = doc_to_structure(doc)
     except FormatError as e:

@@ -10,6 +10,7 @@ product through the whole universe M.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .model import PoGammaSemigroup
@@ -108,14 +109,22 @@ def bi_ideal_generated_fixpoint(s: PoGammaSemigroup, a) -> frozenset:
         cur = nxt
 
 
+@lru_cache(maxsize=1)
+def _bi_ideals(s: PoGammaSemigroup) -> tuple:
+    # memoized for the last structure asked about; all_bi_ideals copies it
+    subsets = (frozenset(i for i in range(s.n) if mask >> i & 1) for mask in range(1, 1 << s.n))
+    return tuple(b for b in subsets if is_bi_ideal(s, b))
+
+
 def all_bi_ideals(s: PoGammaSemigroup) -> list:
     """Every bi-ideal, ascending by bit pattern (element i is bit i)."""
-    out = []
-    for mask in range(1, 1 << s.n):
-        b = frozenset(i for i in range(s.n) if mask >> i & 1)
-        if is_bi_ideal(s, b):
-            out.append(b)
-    return out
+    return list(_bi_ideals(s))
+
+
+def product_failure(s: PoGammaSemigroup):
+    """First bi-ideal B with (BB] != B, or None: the one definition of
+    the bi-ideal product property."""
+    return next((b for b in _bi_ideals(s) if downward_closure(s, set_product(s, b, b)) != b), None)
 
 
 def semiprime_failure(s: PoGammaSemigroup, b):
@@ -166,11 +175,18 @@ def _first_hit(s: PoGammaSemigroup, a: int, kind: str, pool):
     return None
 
 
+@lru_cache(maxsize=1)
+def _witnesses(s: PoGammaSemigroup) -> dict:
+    """(element, kind) -> first witness or None, for the last structure."""
+    return {}
+
+
 def regularity(s: PoGammaSemigroup, a: int, kind: str):
     """First witness of the given kind for a, or None.
 
     The scan runs the element slot ascending, then each letter slot, and
-    returns the first hit, so results are deterministic.  data layouts:
+    returns the first hit, so results are deterministic; each (a, kind)
+    is scanned once per structure.  data layouts:
 
       regular             (x, g, u)           a <= (a g x) u a
       left-regular        (z, g, u)           a <= (z g a) u a
@@ -181,8 +197,11 @@ def regularity(s: PoGammaSemigroup, a: int, kind: str):
     """
     if kind not in _INEQUALITIES:
         raise ValueError(f"unknown regularity kind {kind!r}, expected one of {REGULARITY_KINDS}")
-    data = _first_hit(s, a, kind, range(s.n))
-    return None if data is None else RegularityWitness(kind, a, data)
+    memo = _witnesses(s)
+    if (a, kind) not in memo:
+        data = _first_hit(s, a, kind, range(s.n))
+        memo[a, kind] = None if data is None else RegularityWitness(kind, a, data)
+    return memo[a, kind]
 
 
 def _least_without(s: PoGammaSemigroup, *kinds):
@@ -228,15 +247,14 @@ def compose_cr_witness(s: PoGammaSemigroup, a: int, reg: RegularityWitness,
     return RegularityWitness("completely-regular", a, (x, rg1, rg2, lg1, lg2))
 
 
-def is_strongly_regular_subset(s: PoGammaSemigroup, t, witness_in_subset: bool = True) -> bool:
+def is_strongly_regular_subset(s: PoGammaSemigroup, t) -> bool:
     """Strong regularity relativized to a subsemigroup T.
 
-    Every b in T needs an x with b <= (b g x) u b and the four equal
-    products b g x = x g b = x u b = b u x.  By default x must come from
-    T itself; witness_in_subset=False relaxes the search to all of M.
+    Every b in T needs an x in T with b <= (b g x) u b and the four
+    equal products b g x = x g b = x u b = b u x.
     """
     t = frozenset(t)
     if not is_subsemigroup(s, t):
         raise ValueError("expected a subsemigroup")
-    pool = sorted(t) if witness_in_subset else range(s.n)
-    return all(_first_hit(s, b, "strongly-regular", pool) is not None for b in sorted(t))
+    pool = sorted(t)
+    return all(_first_hit(s, b, "strongly-regular", pool) is not None for b in pool)

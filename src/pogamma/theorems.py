@@ -21,6 +21,7 @@ from .setcalc import (
     is_strongly_regular,
     is_strongly_regular_subset,
     is_subsemigroup,
+    product_failure,
     regularity,
     semiprime_failure,
     set_product,
@@ -150,11 +151,7 @@ def check_prop6(s: PoGammaSemigroup) -> tuple[CheckReport, CheckReport]:
     Converse, in the printed form: that product property forces every
     element to be regular (not the full way back to complete regularity)."""
     cr = is_completely_regular(s) is None
-    product_fail = None
-    for b in all_bi_ideals(s):
-        if downward_closure(s, set_product(s, b, b)) != b:
-            product_fail = b
-            break
+    product_fail = product_failure(s)
     product_prop = product_fail is None
     if cr and not product_prop:
         forward = _violated("prop6-forward", {"bi_ideal": sorted(product_fail)},
@@ -243,13 +240,8 @@ def check_thm9(s: PoGammaSemigroup) -> CheckReport:
             sub_ok = False
     one_sided = _least_without(s, "left-regular", "right-regular") is None
     b2 = one_sided and sub_ok
-    sided_ok = True
-    for a in range(s.n):
-        in_left = a in downward_closure(s, word_product(s, [u, {a}]))
-        in_right = a in downward_closure(s, word_product(s, [{a}, u]))
-        if not (in_left and in_right):
-            sided_ok = False
-            break
+    sided_ok = all(a in downward_closure(s, word_product(s, [u, {a}]))
+                   and a in downward_closure(s, word_product(s, [{a}, u])) for a in range(s.n))
     b3 = sided_ok and sub_ok
     if not (b1 == b2 == b3):
         return _violated("thm9",

@@ -63,15 +63,36 @@ def test_validate_axiom_failure_machine_report(tmp_path, capsys):
     assert report.failures[0][0] == "gamma-associativity"
 
 
-@pytest.mark.parametrize("command", ["validate", "check", "analyze"])
-def test_non_utf8_input_exits_2_without_output(command, tmp_path, capsys):
-    path = tmp_path / "latin1.json"
-    path.write_bytes(b'{"format": "pogamma.structure/1", "name": "caf\xe9"}')
+# (file content, expected stderr fragment)
+LATIN1 = (b'{"format": "pogamma.structure/1", "name": "caf\xe9"}', "not valid UTF-8")
+DEEP = (b"[" * 200_000, "nested too deeply")
+# past the int() digit limit; also unterminated for Pythons without one
+LONG_NUMBER = (b'{"n": ' + b"9" * 5000, "not valid JSON")
+AXIOM_BREAKING = (json.dumps({"format": STRUCTURE_FORMAT, "n": 2, "m": 1,
+                              "tables": [[[1, 1], [0, 0]]], "order": [[1, 1], [0, 1]]}).encode(),
+                  "axiom failure")
+
+
+LOADING_COMMANDS = ("validate", "check", "analyze")
+
+
+@pytest.mark.parametrize("command,content", [
+    *(pytest.param(c, LATIN1, id=c) for c in LOADING_COMMANDS),
+    *(pytest.param(c, DEEP, id=f"{c}-deep") for c in LOADING_COMMANDS),
+    *(pytest.param(c, LONG_NUMBER, id=f"{c}-long-number") for c in LOADING_COMMANDS),
+    # validate --format machine writes the validation report of such a file
+    *(pytest.param(c, AXIOM_BREAKING, id=f"{c}-axioms") for c in ("check", "analyze")),
+])
+def test_non_utf8_input_exits_2_without_output(command, content, tmp_path, capsys):
+    """Input that cannot be checked is an `error:` line and exit 2."""
+    data, message = content
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
     out_path = tmp_path / "report.json"
     assert main([command, str(path), "--format", "machine", "--out", str(out_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    assert "not valid UTF-8" in err
+    assert message in err
     assert not out_path.exists()
 
 
@@ -139,6 +160,21 @@ MACHINE_SHA256 = {
     ("check", "product_gap.json"): "382d2f551f2d1333f4f0ab056a8f34442ceb968ef202588dda07d94b44453cd0",
     ("validate", "product_gap.json"): "40dc57eb9882033611f7f075cb21ae48a96a629660c406f0f28dd57e96996a4a",
 }
+
+
+# sha256 of `sweep <args> --format machine` on stdout; any change to a
+# sweep's machine report must change these on purpose
+SWEEP_SHA256 = {
+    "--n 3 --m 2": "444f4826980b5355b4589d84b886975c8c6044e6fc04f2b05137e772b9beef7d",
+    "--n 3 --m 2 --canonical": "3e878331cf2f24cb45c9b454db243329050704b4ab6a1c28f4a16a3dbb9456cb",
+}
+
+
+@pytest.mark.parametrize("args", sorted(SWEEP_SHA256))
+def test_sweep_machine_reports_are_pinned(args, capsys):
+    assert main(["sweep", *args.split(), "--format", "machine"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SWEEP_SHA256[args]
 
 
 @pytest.mark.parametrize("command,fixture", sorted(MACHINE_SHA256))

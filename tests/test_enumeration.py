@@ -1,5 +1,7 @@
 """Table and order generation, canonicalization, and sweep plumbing."""
 
+import hashlib
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
@@ -12,7 +14,7 @@ from conftest import (
     structure_pool,
     table_pool,
 )
-from pogamma import enumeration
+from pogamma import enumeration, setcalc
 from pogamma.enumeration import (
     MAX_TABLE_CELLS,
     SWEEP_EXAMPLE_CAP,
@@ -283,3 +285,42 @@ def test_sweep_canonical_4_1():
     assert report.product_without_cr == 12
     assert len(report.product_without_cr_examples) == SWEEP_EXAMPLE_CAP
     assert report.violations == []
+    # sha256 of `sweep --n 4 --m 1 --canonical --format machine`
+    digest = hashlib.sha256(serialize_report(report).encode("utf-8")).hexdigest()
+    assert digest == "8e14eb257d6dfcd40498683f4f6f689f3c3eff383eab7b1b414087971da1a632"
+
+
+def test_sweep_caps_workers_at_the_cpu_count(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("one CPU runs the sweep in process")
+
+    solo = sweep(EnumSpec(2, 2), workers=1)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(enumeration.multiprocessing, "Pool", refuse)
+    assert sweep(EnumSpec(2, 2), workers=3) == solo
+
+
+def test_sweep_scans_each_witness_and_lists_bi_ideals_once_per_structure(monkeypatch):
+    # whole-universe witness scans and bi-ideal tests, per structure;
+    # thm9's scans over (M a M] pass a subset pool and are not counted
+    scans, bi_tests = Counter(), Counter()
+    first_hit, is_bi_ideal = setcalc._first_hit, setcalc.is_bi_ideal
+
+    def counted_first_hit(s, a, kind, pool):
+        if pool == range(s.n):
+            scans[s] += 1
+        return first_hit(s, a, kind, pool)
+
+    def counted_is_bi_ideal(s, b):
+        bi_tests[s] += 1
+        return is_bi_ideal(s, b)
+
+    monkeypatch.setattr(setcalc, "_first_hit", counted_first_hit)
+    monkeypatch.setattr(setcalc, "is_bi_ideal", counted_is_bi_ideal)
+    setcalc._witnesses.cache_clear()
+    setcalc._bi_ideals.cache_clear()
+    assert sweep(EnumSpec(3, 1)).structures == 173
+    assert len(bi_tests) == 173
+    assert max(scans.values()) <= 5 * 3
+    # one listing tests each of the 2^3 - 1 nonempty subsets once
+    assert set(bi_tests.values()) == {2 ** 3 - 1}
