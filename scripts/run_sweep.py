@@ -5,6 +5,13 @@ Runs the canonical enumeration with all nine claim checkers for each
 class tallies, the product-property gap, and violations.  With --out-dir
 the machine report for each size is also written to disk.
 
+The gap column counts structures with the bi-ideal product property
+(every bi-ideal B equals (BB]) that are not completely regular: each one
+shows the prop6 converse, which recovers regularity, cannot be
+strengthened to complete regularity.  After the totals, the first such
+witness of the last size that has one is printed as a structure
+document.
+
 Run from the repository root: python3 scripts/run_sweep.py [--workers K]
 """
 
@@ -13,7 +20,7 @@ import time
 from pathlib import Path
 
 from pogamma.enumeration import EnumSpec, sweep
-from pogamma.formats import serialize_report
+from pogamma.formats import serialize_report, serialize_structure
 
 COMBOS = ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1))
 
@@ -29,6 +36,7 @@ def main() -> None:
               f"{'strong':>7} {'product':>8} {'gap':>4} {'violations':>11} {'secs':>6}")
     print(header)
     totals = {"structures": 0, "violations": 0, "gap": 0}
+    witness = None
     for n, m in COMBOS:
         start = time.perf_counter()
         report = sweep(EnumSpec(n, m), workers=args.workers)
@@ -41,6 +49,8 @@ def main() -> None:
         totals["structures"] += report.structures
         totals["violations"] += len(report.violations)
         totals["gap"] += report.product_without_cr
+        if report.product_without_cr_examples:
+            witness = report.product_without_cr_examples[0]
         if args.out_dir:
             out_dir = Path(args.out_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -49,6 +59,12 @@ def main() -> None:
     print(f"total: {totals['structures']} structures, "
           f"{totals['gap']} product-property-without-complete-regularity, "
           f"{totals['violations']} violations")
+    if witness is None:
+        print("no separating witness: every structure with the product property "
+              "is completely regular")
+    else:
+        print(f"separating witness (n={witness.n}, m={witness.m}):")
+        print(serialize_structure(witness), end="")
 
 
 if __name__ == "__main__":

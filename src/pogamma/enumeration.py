@@ -17,10 +17,10 @@ generation, 1978, and McKay, "Isomorph-free exhaustive generation",
 1998).  The brute `canonical_key`, which relabels whole structures,
 stays as the test oracle.
 
-A parallel sweep hands worker k the tables whose index in the table
-stream is k modulo the worker count and merges per-table results in
-index order, so any worker count reproduces the single-worker report
-byte for byte.
+A sweep generates the table stream once and maps one per-table tally
+over it, with the builtin map on one worker and Pool.imap on several;
+both return per-table results in stream order, so any worker count
+reproduces the single-worker report byte for byte.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ import multiprocessing
 import os
 import random
 from dataclasses import MISSING, dataclass, field, fields
-from functools import lru_cache
-from itertools import chain, permutations, product
-from operator import itemgetter
+from functools import lru_cache, partial
+from itertools import permutations, product
+from operator import iadd
 
 from . import setcalc, theorems
 from .model import (
@@ -51,6 +51,9 @@ MAX_TABLE_CELLS = 18
 MAX_NAIVE_FILLS = 1_000_000
 
 SWEEP_EXAMPLE_CAP = 10
+
+# tables per Pool.imap task: 1 pays a pipe round trip per table, 128 holds more results in memory
+SWEEP_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -408,35 +411,28 @@ def _tally(spec: EnumSpec, ids, structures) -> SweepReport:
     return r
 
 
+def _table_tally(spec: EnumSpec, ids, t: GammaTables) -> SweepReport:
+    return _tally(spec, ids, _table_structures(spec, t))
+
+
 def _merge_partitions(spec: EnumSpec, ids, parts) -> SweepReport:
     merged = _tally(spec, ids, ())
     for p in parts:
         for name in _TALLIES:
-            setattr(merged, name, getattr(merged, name) + getattr(p, name))
-    del merged.product_without_cr_examples[SWEEP_EXAMPLE_CAP:]
+            # lists grow in place, so a merge never recopies what it already holds
+            setattr(merged, name, iadd(getattr(merged, name), getattr(p, name)))
+        del merged.product_without_cr_examples[SWEEP_EXAMPLE_CAP:]
     return merged
-
-
-def _sweep_share(spec: EnumSpec, ids, share: int, shares: int) -> list:
-    """(table index, per-table report) for the tables whose index in the
-    table stream is share modulo shares, skipping tables that keep no
-    structure."""
-    out = []
-    for i, t in enumerate(enumerate_tables(spec)):
-        if i % shares == share:
-            structures = list(_table_structures(spec, t))
-            if structures:
-                out.append((i, _tally(spec, ids, structures)))
-    return out
 
 
 def sweep(spec: EnumSpec, theorem_ids=None, workers: int = 1) -> SweepReport:
     """Enumerate per spec and run the selected checkers on every structure.
 
-    Workers are capped at the CPU count (each one regenerates the table
-    stream); worker k takes the tables whose index in that stream is k
-    modulo the worker count, and per-table results merge in index order,
-    so the report is identical for any worker count.
+    The table stream is generated once, here, and each table is tallied
+    on its own: by the builtin map when the worker count, capped at the
+    CPU count, is 1, and by Pool.imap otherwise.  Both yield per-table
+    results in stream order, so the report is identical for any worker
+    count.
     """
     spec.validate()
     ids = tuple(theorem_ids) if theorem_ids else theorems.THEOREM_IDS
@@ -444,11 +440,8 @@ def sweep(spec: EnumSpec, theorem_ids=None, workers: int = 1) -> SweepReport:
     if unknown:
         raise ValueError(f"unknown theorem ids: {sorted(unknown)}")
     workers = min(workers, os.cpu_count() or 1)
-    if workers > 1:
-        jobs = [(spec, ids, k, workers) for k in range(workers)]
-        with multiprocessing.Pool(workers) as pool:
-            shares = pool.starmap(_sweep_share, jobs)
-        parts = [report for _, report in sorted(chain.from_iterable(shares), key=itemgetter(0))]
-    else:
-        parts = [_tally(spec, ids, enumerate_structures(spec))]
-    return _merge_partitions(spec, ids, parts)
+    tally = partial(_table_tally, spec, ids)
+    if workers == 1:
+        return _merge_partitions(spec, ids, map(tally, enumerate_tables(spec)))
+    with multiprocessing.Pool(workers) as pool:
+        return _merge_partitions(spec, ids, pool.imap(tally, enumerate_tables(spec), SWEEP_CHUNK))

@@ -2,11 +2,12 @@
 
 import hashlib
 from collections import Counter
-from itertools import permutations, product
+from itertools import permutations, product, starmap
 
 import pytest
 
 from conftest import (
+    FIXTURE_DIR,
     make_left_zero,
     make_min_chain,
     make_null_table,
@@ -32,7 +33,7 @@ from pogamma.enumeration import (
     structure_encoding,
     sweep,
 )
-from pogamma.formats import serialize_report
+from pogamma.formats import load, serialize_report
 from pogamma.model import (
     PoGammaSemigroup,
     equality_order,
@@ -288,6 +289,9 @@ def test_sweep_canonical_4_1():
     # sha256 of `sweep --n 4 --m 1 --canonical --format machine`
     digest = hashlib.sha256(serialize_report(report).encode("utf-8")).hexdigest()
     assert digest == "8e14eb257d6dfcd40498683f4f6f689f3c3eff383eab7b1b414087971da1a632"
+    # the product_gap fixture is one of the census's separating examples
+    gap = canonical_key(load(FIXTURE_DIR / "product_gap.json"))
+    assert gap in [structure_encoding(s) for s in report.product_without_cr_examples]
 
 
 def test_sweep_caps_workers_at_the_cpu_count(monkeypatch):
@@ -298,6 +302,43 @@ def test_sweep_caps_workers_at_the_cpu_count(monkeypatch):
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 1)
     monkeypatch.setattr(enumeration.multiprocessing, "Pool", refuse)
     assert sweep(EnumSpec(2, 2), workers=3) == solo
+
+
+class _InProcessPool:
+    """A pool that runs every task in this process, so a test can count calls."""
+
+    def __init__(self, processes):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, func, iterable, chunksize=1):
+        return map(func, iterable)
+
+    def map(self, func, iterable, chunksize=None):
+        return list(map(func, iterable))
+
+    def starmap(self, func, iterable, chunksize=None):
+        return list(starmap(func, iterable))
+
+
+def test_sweep_generates_the_table_stream_once(monkeypatch):
+    solo = sweep(EnumSpec(2, 2), workers=1)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_tables(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(enumeration.multiprocessing, "Pool", _InProcessPool)
+    monkeypatch.setattr(enumeration, "enumerate_tables", counted)
+    assert sweep(EnumSpec(2, 2), workers=3) == solo
+    assert len(calls) == 1
 
 
 def test_sweep_scans_each_witness_and_lists_bi_ideals_once_per_structure(monkeypatch):

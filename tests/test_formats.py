@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURE_DIR, FIXTURE_FILES, make_min_chain, make_null_table, structure_pool, table_pool
 from pogamma.enumeration import EnumSpec, SweepReport, SweepViolation, all_partial_orders, sweep
@@ -21,7 +23,7 @@ from pogamma.formats import (
     serialize_structure,
     structure_to_doc,
 )
-from pogamma.model import PoGammaSemigroup, validate_compatibility, validate_structure
+from pogamma.model import PoGammaSemigroup, ValidationReport, validate_compatibility, validate_structure
 from pogamma.theorems import CheckReport, run_all
 
 
@@ -197,3 +199,83 @@ def test_flat_lists_stay_inline():
     text = serialize_structure(make_min_chain(), "min-chain")
     assert '"tables": [[[0, 0], [0, 1]]]' in text
     assert '"order": [[1, 1], [0, 1]]' in text
+
+
+# -- fuzzing: malformed input raises only the documented errors ------------
+
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+
+
+def _paths(doc, path=()):
+    """The key path of every value inside doc, doc itself (the empty path) included."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, (*path, key))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[path[0]] = _replaced(doc[path[0]], path[1:], value)
+    return copy
+
+
+def _mutated(doc):
+    """doc with one value anywhere inside it, or doc itself, swapped for any
+    JSON value; scalars get extra weight, since _JSON mostly draws containers."""
+    value = _SCALARS | _JSON
+    return st.tuples(st.sampled_from(list(_paths(doc))), value).map(lambda pv: _replaced(doc, *pv))
+
+
+_STRUCTURE_DOCS = [structure_to_doc(make_min_chain(), "min-chain"), structure_to_doc(make_null_table())]
+_REPORT_DOCS = [
+    report_to_doc(r) for r in (
+        validate_structure(make_min_chain()),
+        ValidationReport.from_failures([("x", (1,))]),
+        run_all(make_min_chain())[0],
+        run_all(make_null_table()),
+        SweepReport(2, 1, True, True, ("prop4",), structures=1, product_without_cr=1,
+                    product_without_cr_examples=[make_null_table()],
+                    violations=[SweepViolation(make_min_chain(),
+                                               CheckReport("prop4", "violation", {"a": 1}, "x"))]),
+    )
+]
+
+
+@pytest.mark.parametrize("doc", _STRUCTURE_DOCS)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_structure_parser_raises_only_format_error(doc, data):
+    try:
+        doc_to_structure(data.draw(_mutated(doc)))
+    except FormatError:
+        pass
+
+
+@pytest.mark.parametrize("doc", _REPORT_DOCS)
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_report_parser_raises_only_format_error(doc, data):
+    try:
+        doc_to_report(data.draw(_mutated(doc)))
+    except FormatError:
+        pass
+
+
+@given(st.one_of(st.binary(max_size=64),
+                 st.sampled_from(_STRUCTURE_DOCS).flatmap(_mutated).map(
+                     lambda doc: json.dumps(doc).encode("utf-8"))))
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_named_raises_only_documented_errors(tmp_path, data):
+    path = tmp_path / "fuzz.json"
+    path.write_bytes(data)
+    try:
+        load_named(path)
+    except (FormatError, ValidationFailed):
+        pass
