@@ -12,10 +12,14 @@ strengthened to complete regularity.  After the totals, the first such
 witness of the last size that has one is printed as a structure
 document.
 
+Exit codes follow the CLI's contract: 0 when every size is clean, 1 when
+any size reports a claim violation.
+
 Run from the repository root: python3 scripts/run_sweep.py [--workers K]
 """
 
 import argparse
+import sys
 import time
 from pathlib import Path
 
@@ -25,7 +29,7 @@ from pogamma.formats import serialize_report, serialize_structure
 COMBOS = ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1))
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out-dir", metavar="DIR", default=None,
@@ -65,7 +69,8 @@ def main() -> None:
     else:
         print(f"separating witness (n={witness.n}, m={witness.m}):")
         print(serialize_structure(witness), end="")
+    return 1 if totals["violations"] else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -15,7 +15,8 @@ from pathlib import Path
 from . import formats, setcalc, theorems
 from .enumeration import EnumSpec, sweep
 from .formats import FormatError, ValidationFailed
-from .theorems import THEOREM_IDS, CheckReport
+from .model import ValidationReport
+from .theorems import FORCED_VIOLATION_ID, THEOREM_IDS, CheckReport
 
 
 class OutputError(Exception):
@@ -45,7 +46,8 @@ def cmd_validate(args) -> int:
             _emit(formats.serialize_report(e.report), args.out)
         return 2
     if args.format == "machine":
-        _emit(formats.serialize_report(formats.validate_structure(s)), args.out)
+        # load_named has validated s, so its report has no failures
+        _emit(formats.serialize_report(ValidationReport.from_failures(())), args.out)
     else:
         label = f"{name} " if name else ""
         _emit(f"ok: {label}(n={s.n}, m={s.m}) satisfies all axioms\n", args.out)
@@ -130,7 +132,7 @@ def cmd_check(args) -> int:
     reports = theorems.run_selected(s, ids)
     if args.force_violation:
         reports = reports + [CheckReport(
-            theorem_id="forced-violation", status="violation",
+            theorem_id=FORCED_VIOLATION_ID, status="violation",
             witness={"forced": True},
             detail="synthetic violation requested with --force-violation")]
     if args.format == "machine":

@@ -2,9 +2,10 @@
 isomorphism canonicalization and the claim sweep over everything found.
 
 Tables are generated depth first, one cell at a time in (letter, row,
-column) order, abandoning a partial fill as soon as some fully
-determined associativity instance fails.  Orders are generated as all
-partial orders on the universe and filtered by compatibility.
+column) order, abandoning a partial fill at the first fully determined
+associativity instance that fails in model's scan.  Orders are the
+candidate relations that validate_order accepts, filtered by
+compatibility.
 
 Canonical forms are minimal byte encodings over every relabeling of
 elements and letters.  The encoding is table-major, so a structure is
@@ -38,9 +39,12 @@ from .model import (
     GammaTables,
     OrderRelation,
     PoGammaSemigroup,
+    _associativity_failures,
+    _associativity_instances,
     _compatibility_failures,
     equality_order,
     validate_gamma_tables,
+    validate_order,
 )
 
 # m * n^2 table cells; keeps the search at desk scale (largest supported
@@ -77,45 +81,6 @@ class EnumSpec:
                 f"the largest supported sweeps are n=3, m=2 and n=4, m=1")
 
 
-def _assoc_instances(n: int, m: int):
-    # (ab_idx, bc_idx, ga_base, mu_n, c) per instance; cell (g, a, b) lives
-    # at flat index (g*n + a)*n + b
-    out = []
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for g in range(m):
-                    for u in range(m):
-                        out.append((
-                            (g * n + a) * n + b,
-                            (u * n + b) * n + c,
-                            (g * n + a) * n,
-                            u * n,
-                            c,
-                        ))
-    return out
-
-
-def _consistent(cells, instances, n):
-    # check every fully determined instance; undetermined reads skip
-    for ab_idx, bc_idx, ga_base, mu_n, c in instances:
-        p = cells[ab_idx]
-        if p < 0:
-            continue
-        lhs = cells[(mu_n + p) * n + c]
-        if lhs < 0:
-            continue
-        q = cells[bc_idx]
-        if q < 0:
-            continue
-        rhs = cells[ga_base + q]
-        if rhs < 0:
-            continue
-        if lhs != rhs:
-            return False
-    return True
-
-
 def _tables_from_cells(cells, n, m) -> GammaTables:
     op = tuple(
         tuple(tuple(cells[(g * n + a) * n + b] for b in range(n)) for a in range(n))
@@ -141,20 +106,19 @@ def enumerate_tables(spec: EnumSpec, prefix=()):
         if not 0 <= v < n:
             raise ValueError(f"prefix value {v} out of range")
         cells[i] = v
-    instances = _assoc_instances(n, m)
-    if not _consistent(cells, instances, n):
-        return
-    yield from _extend(cells, len(prefix), total, n, m, instances)
+    # looked up once per search and passed down, not once per scan
+    yield from _extend(cells, len(prefix), total, n, m, _associativity_instances(n, m))
 
 
 def _extend(cells, pos, total, n, m, instances):
+    if next(_associativity_failures(cells, instances, n), None) is not None:
+        return
     if pos == total:
         yield _tables_from_cells(cells, n, m)
         return
     for v in range(n):
         cells[pos] = v
-        if _consistent(cells, instances, n):
-            yield from _extend(cells, pos + 1, total, n, m, instances)
+        yield from _extend(cells, pos + 1, total, n, m, instances)
     cells[pos] = -1
 
 
@@ -176,28 +140,19 @@ def enumerate_tables_naive(spec: EnumSpec):
 def all_partial_orders(n: int) -> tuple:
     """Every partial order on 0..n-1, sorted by flattened relation.
 
-    Each order is reached by picking a permutation as a topological
-    ordering, choosing forward edges, and closing transitively;
-    duplicates from different permutations collapse in a set.
+    The candidates are the reflexive relations that relate each pair of
+    distinct elements at most one way; validate_order keeps the
+    transitive ones.
     """
-    seen = set()
-    forward = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for perm in permutations(range(n)):
-        for mask in range(1 << len(forward)):
-            leq = [[i == j for j in range(n)] for i in range(n)]
-            for k, (i, j) in enumerate(forward):
-                if mask >> k & 1:
-                    leq[perm[i]][perm[j]] = True
-            for w in range(n):
-                roww = leq[w]
-                for i in range(n):
-                    if leq[i][w]:
-                        rowi = leq[i]
-                        for j in range(n):
-                            if roww[j]:
-                                rowi[j] = True
-            seen.add(tuple(tuple(row) for row in leq))
-    return tuple(OrderRelation(n=n, leq=rel) for rel in sorted(seen))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    candidates = []
+    for ways in product(((False, False), (True, False), (False, True)), repeat=len(pairs)):
+        leq = [[i == j for j in range(n)] for i in range(n)]
+        for (i, j), (up, down) in zip(pairs, ways):
+            leq[i][j], leq[j][i] = up, down
+        candidates.append(tuple(map(tuple, leq)))
+    orders = (OrderRelation(n=n, leq=leq) for leq in sorted(candidates))
+    return tuple(o for o in orders if validate_order(o).ok)
 
 
 def order_compatible(tables: GammaTables, order: OrderRelation) -> bool:

@@ -13,6 +13,7 @@ from typing import get_type_hints
 
 from .enumeration import SweepReport, SweepViolation
 from .model import (
+    AXIOMS,
     GammaTables,
     OrderRelation,
     PoGammaSemigroup,
@@ -20,7 +21,7 @@ from .model import (
     format_failure,
     validate_structure,
 )
-from .theorems import CheckReport
+from .theorems import FORCED_VIOLATION_ID, THEOREM_IDS, CheckReport
 
 STRUCTURE_FORMAT = "pogamma.structure/1"
 REPORT_FORMAT = "pogamma.report/1"
@@ -185,11 +186,28 @@ def _check_payload(r: CheckReport) -> dict:
 
 def _payload_check(payload) -> CheckReport:
     p = _object(payload, ("theorem", "status", "witness", "detail"), "a check report")
+    if p["theorem"] not in THEOREM_IDS + (FORCED_VIOLATION_ID,):
+        raise FormatError(f"unknown theorem {p['theorem']!r}")
+    if p["status"] not in ("pass", "violation"):
+        raise FormatError(f"status must be 'pass' or 'violation', got {p['status']!r}")
     if p["witness"] is not None:
         _expect(p["witness"], dict, "witness")
-    return CheckReport(theorem_id=_expect(p["theorem"], str, "theorem"),
-                       status=_expect(p["status"], str, "status"),
+    elif p["status"] == "violation":
+        raise FormatError("a violation must carry a witness")
+    return CheckReport(theorem_id=p["theorem"], status=p["status"],
                        witness=p["witness"], detail=_expect(p["detail"], str, "detail"))
+
+
+def _payload_failure(f) -> tuple:
+    """[axiom, witness] as a validator reports it: integers, but for compatibility's side."""
+    if type(f) is not list or len(f) != 2 or type(f[0]) is not str or f[0] not in AXIOMS:
+        raise FormatError("each failure must be [axiom, witness], naming a validator's axiom")
+    axiom, witness = f[0], _expect(f[1], list, "witness")
+    numbers, sides = (witness[:-1], witness[-1:]) if axiom == "compatibility" else (witness, [])
+    if (len(witness) != AXIOMS[axiom] or any(type(v) is not int for v in numbers)
+            or any(side not in ("left", "right") for side in sides)):
+        raise FormatError(f"{witness!r} is not a witness of {axiom}")
+    return axiom, tuple(witness)
 
 
 def _violation_payload(v: SweepViolation) -> dict:
@@ -248,11 +266,7 @@ def doc_to_report(doc):
     if kind == "validation":
         p = _object(payload, ("ok", "failures"), "a validation payload")
         _expect(p["ok"], bool, "ok")
-        failures = []
-        for f in _expect(p["failures"], list, "failures"):
-            if type(f) is not list or len(f) != 2:
-                raise FormatError("each failure must be an array [axiom, witness]")
-            failures.append((_expect(f[0], str, "axiom"), tuple(_expect(f[1], list, "witness"))))
+        failures = [_payload_failure(f) for f in _expect(p["failures"], list, "failures")]
         if p["ok"] == bool(failures):
             raise FormatError("ok must be true exactly when there are no failures")
         return ValidationReport.from_failures(failures)

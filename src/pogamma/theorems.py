@@ -42,6 +42,9 @@ THEOREM_IDS = (
     "thm9",
 )
 
+# the synthetic report `check --force-violation` appends to exercise exit code 1
+FORCED_VIOLATION_ID = "forced-violation"
+
 
 @dataclass
 class CheckReport:

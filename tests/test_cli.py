@@ -1,16 +1,20 @@
 """Command line contract: output shapes, exit codes, and byte stability."""
 
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
 
 import pytest
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, REPO_ROOT, make_min_chain
+from pogamma import formats
 from pogamma.cli import main
+from pogamma.enumeration import SweepViolation, sweep
 from pogamma.formats import REPORT_FORMAT, STRUCTURE_FORMAT, doc_to_report
-from pogamma.theorems import THEOREM_IDS
+from pogamma.model import validate_structure
+from pogamma.theorems import THEOREM_IDS, CheckReport
 
 MIN_CHAIN = str(FIXTURE_DIR / "min_chain.json")
 NULL_TABLE = str(FIXTURE_DIR / "null_table.json")
@@ -28,6 +32,19 @@ def test_validate_machine_ok(capsys):
     assert doc["format"] == REPORT_FORMAT
     assert doc["kind"] == "validation"
     assert doc["payload"] == {"ok": True, "failures": []}
+
+
+def test_validate_machine_validates_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return validate_structure(s)
+
+    monkeypatch.setattr(formats, "validate_structure", counted)
+    assert main(["validate", MIN_CHAIN, "--format", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"] == {"ok": True, "failures": []}
+    assert len(calls) == 1
 
 
 def test_validate_missing_file(capsys):
@@ -209,6 +226,13 @@ def test_check_force_violation_exits_1(capsys):
     assert "synthetic violation" in out
 
 
+def test_check_force_violation_machine_output_parses(capsys):
+    assert main(["check", MIN_CHAIN, "--force-violation", "--format", "machine"]) == 1
+    reports = doc_to_report(json.loads(capsys.readouterr().out))
+    assert [r.theorem_id for r in reports] == [*THEOREM_IDS, "forced-violation"]
+    assert reports[-1].status == "violation" and reports[-1].witness == {"forced": True}
+
+
 def test_check_rejects_unknown_theorem(capsys):
     assert main(["check", MIN_CHAIN, "--theorem", "lemma3"]) == 2
     assert "invalid choice" in capsys.readouterr().err
@@ -262,6 +286,32 @@ def test_sweep_guard_exits_2(capsys):
 def test_sweep_rejects_bad_worker_count(capsys):
     assert main(["sweep", "--n", "2", "--m", "1", "--workers", "0"]) == 2
     assert "--workers" in capsys.readouterr().err
+
+
+def _run_sweep_script():
+    path = REPO_ROOT / "scripts" / "run_sweep.py"
+    spec = importlib.util.spec_from_file_location("run_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("violated", [False, True])
+def test_run_sweep_exit_code_follows_the_contract(monkeypatch, capsys, violated):
+    script = _run_sweep_script()
+
+    def one_sweep(spec, workers):
+        report = sweep(spec, workers=workers)
+        if violated:
+            report.violations.append(SweepViolation(
+                make_min_chain(), CheckReport("prop4", "violation", {"element": 0}, "synthetic")))
+        return report
+
+    monkeypatch.setattr(script, "COMBOS", ((2, 1),))
+    monkeypatch.setattr(script, "sweep", one_sweep)
+    monkeypatch.setattr(sys, "argv", ["run_sweep.py"])
+    assert script.main() == (1 if violated else 0)
+    assert f"{int(violated)} violations" in capsys.readouterr().out
 
 
 def test_console_entry_point():

@@ -114,6 +114,22 @@ def test_partial_order_counts_and_validity():
         assert list(orders) == sorted(orders, key=lambda o: o.leq)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_partial_orders_equal_the_brute_filter(n):
+    # every boolean matrix, in flattened order, kept when reflexive,
+    # antisymmetric and transitive, written out here without validate_order
+    brute = []
+    for flat in product((False, True), repeat=n * n):
+        leq = tuple(flat[i * n:(i + 1) * n] for i in range(n))
+        els = range(n)
+        if (all(leq[a][a] for a in els)
+                and all(a == b or not (leq[a][b] and leq[b][a]) for a in els for b in els)
+                and all(leq[a][c] or not (leq[a][b] and leq[b][c])
+                        for a in els for b in els for c in els)):
+            brute.append(leq)
+    assert [o.leq for o in all_partial_orders(n)] == brute
+
+
 def test_enumerate_orders_matches_the_validator():
     for t in table_pool(2, 1) + table_pool(2, 2):
         fast = list(enumerate_orders(t))

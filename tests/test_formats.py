@@ -184,6 +184,20 @@ def test_report_doc_rejections():
     ("checks", None),
     ("validation", {"failures": [["x", 1]]}),
     ("validation", {"ok": True, "failures": [["x", [1]]]}),
+    # payloads the report types rule out
+    ("check", {"theorem": "conjecture1", "status": "pass", "witness": None, "detail": ""}),
+    ("check", {"theorem": "prop2", "status": "banana", "witness": None, "detail": ""}),
+    ("check", {"theorem": "prop2", "status": "violation", "witness": None, "detail": ""}),
+    ("checks", {"reports": [{"theorem": "thm9", "status": "violation", "witness": None,
+                             "detail": ""}]}),
+    ("validation", {"ok": False, "failures": [["no-such-axiom", [0]]]}),
+    ("validation", {"ok": False, "failures": [["reflexivity", [None]]]}),
+    ("validation", {"ok": False, "failures": [["transitivity", [0, "x", 1.5]]]}),
+    ("validation", {"ok": False, "failures": [["antisymmetry", [0, True]]]}),
+    ("validation", {"ok": False, "failures": [["antisymmetry", [0, 1, 2]]]}),
+    ("validation", {"ok": False, "failures": [["compatibility", [0, 1, 0, 0, "up"]]]}),
+    ("validation", {"ok": False, "failures": [["compatibility", [0, 1, 0, "left", "left"]]]}),
+    ("validation", {"ok": False, "failures": [["compatibility", [0, 1, 0, 0]]]}),
 ])
 def test_malformed_report_payloads_are_format_errors(kind, payload):
     with pytest.raises(FormatError):
@@ -237,13 +251,20 @@ _STRUCTURE_DOCS = [structure_to_doc(make_min_chain(), "min-chain"), structure_to
 _REPORT_DOCS = [
     report_to_doc(r) for r in (
         validate_structure(make_min_chain()),
-        ValidationReport.from_failures([("x", (1,))]),
+        ValidationReport.from_failures([("compatibility", (0, 1, 1, 0, "left"))]),
         run_all(make_min_chain())[0],
         run_all(make_null_table()),
         SweepReport(2, 1, True, True, ("prop4",), structures=1, product_without_cr=1,
                     product_without_cr_examples=[make_null_table()],
                     violations=[SweepViolation(make_min_chain(),
                                                CheckReport("prop4", "violation", {"a": 1}, "x"))]),
+        # ruled out by the report types: mutations may turn them valid
+        CheckReport("conjecture1", "pass", None, "x"),
+        CheckReport("prop2", "banana", None, "x"),
+        CheckReport("prop2", "violation", None, "x"),
+        ValidationReport.from_failures([("no-such-axiom", (0,))]),
+        ValidationReport.from_failures([("reflexivity", (None,)), ("transitivity", (0, "x", 1.5))]),
+        ValidationReport.from_failures([("compatibility", (0, 1, 1, 0, "up"))]),
     )
 ]
 

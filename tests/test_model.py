@@ -1,10 +1,14 @@
 """Axiom validators against hand-built structures and brute-force scans."""
 
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import named_structures, structure_pool
+from pogamma.enumeration import _tables_from_cells
 from pogamma.model import (
     GammaTables,
     OrderRelation,
@@ -53,6 +57,24 @@ def test_associativity_failures_match_brute_scan():
     ]
     assert [wit for _, wit in report.failures] == brute
     assert report.failures[0] == ("gamma-associativity", (0, 0, 1, 0, 0))
+
+
+def _brute_associativity_failures(t):
+    op, n, m = t.op, t.n, t.m
+    return [("gamma-associativity", (a, b, c, g, u))
+            for a in range(n) for b in range(n) for c in range(n)
+            for g in range(m) for u in range(m)
+            if op[u][op[g][a][b]][c] != op[g][a][op[u][b][c]]]
+
+
+@pytest.mark.parametrize("n,m,sample", [(2, 1, None), (1, 2, None), (3, 1, 400), (2, 2, 100)])
+def test_associativity_failures_match_brute_scan_on_raw_fills(n, m, sample):
+    fills = list(product(range(n), repeat=m * n * n))
+    if sample is not None:
+        fills = random.Random(f"{n}x{m}").sample(fills, sample)
+    for cells in fills:
+        t = _tables_from_cells(cells, n, m)
+        assert list(validate_gamma_tables(t).failures) == _brute_associativity_failures(t)
 
 
 def test_associativity_witnesses_reevaluate():
