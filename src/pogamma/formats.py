@@ -199,13 +199,15 @@ def _payload_check(payload) -> CheckReport:
 
 
 def _payload_failure(f) -> tuple:
-    """[axiom, witness] as a validator reports it: integers, but for compatibility's side."""
+    """[axiom, witness] as a validator reports it: integers, but for
+    compatibility's side and entry-range's value, any JSON scalar."""
     if type(f) is not list or len(f) != 2 or type(f[0]) is not str or f[0] not in AXIOMS:
         raise FormatError("each failure must be [axiom, witness], naming a validator's axiom")
     axiom, witness = f[0], _expect(f[1], list, "witness")
-    numbers, sides = (witness[:-1], witness[-1:]) if axiom == "compatibility" else (witness, [])
+    numbers = witness[:-1] if axiom in ("compatibility", "entry-range") else witness
     if (len(witness) != AXIOMS[axiom] or any(type(v) is not int for v in numbers)
-            or any(side not in ("left", "right") for side in sides)):
+            or axiom == "compatibility" and witness[-1] not in ("left", "right")
+            or axiom == "entry-range" and type(witness[-1]) in (list, dict)):
         raise FormatError(f"{witness!r} is not a witness of {axiom}")
     return axiom, tuple(witness)
 

@@ -10,7 +10,6 @@ product through the whole universe M.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from .model import PoGammaSemigroup
@@ -109,11 +108,24 @@ def bi_ideal_generated_fixpoint(s: PoGammaSemigroup, a) -> frozenset:
         cur = nxt
 
 
-@lru_cache(maxsize=1)
+_last = (None, {})   # the structure last asked about, and its facts
+
+
+def _facts(s: PoGammaSemigroup) -> dict:
+    """Facts about s, found by identity (never by hashing its nested tuples) until another
+    structure is asked about: (element, kind) witnesses, "bi_ideals", "product_failure"."""
+    global _last
+    if _last[0] is not s:
+        _last = (s, {})
+    return _last[1]
+
+
 def _bi_ideals(s: PoGammaSemigroup) -> tuple:
-    # memoized for the last structure asked about; all_bi_ideals copies it
-    subsets = (frozenset(i for i in range(s.n) if mask >> i & 1) for mask in range(1, 1 << s.n))
-    return tuple(b for b in subsets if is_bi_ideal(s, b))
+    facts = _facts(s)
+    if "bi_ideals" not in facts:
+        subsets = (frozenset(i for i in range(s.n) if mask >> i & 1) for mask in range(1, 1 << s.n))
+        facts["bi_ideals"] = tuple(b for b in subsets if is_bi_ideal(s, b))
+    return facts["bi_ideals"]
 
 
 def all_bi_ideals(s: PoGammaSemigroup) -> list:
@@ -123,8 +135,12 @@ def all_bi_ideals(s: PoGammaSemigroup) -> list:
 
 def product_failure(s: PoGammaSemigroup):
     """First bi-ideal B with (BB] != B, or None: the one definition of
-    the bi-ideal product property."""
-    return next((b for b in _bi_ideals(s) if downward_closure(s, set_product(s, b, b)) != b), None)
+    the bi-ideal product property, scanned once per structure."""
+    facts = _facts(s)
+    if "product_failure" not in facts:
+        facts["product_failure"] = next(
+            (b for b in _bi_ideals(s) if downward_closure(s, set_product(s, b, b)) != b), None)
+    return facts["product_failure"]
 
 
 def semiprime_failure(s: PoGammaSemigroup, b):
@@ -175,12 +191,6 @@ def _first_hit(s: PoGammaSemigroup, a: int, kind: str, pool):
     return None
 
 
-@lru_cache(maxsize=1)
-def _witnesses(s: PoGammaSemigroup) -> dict:
-    """(element, kind) -> first witness or None, for the last structure."""
-    return {}
-
-
 def regularity(s: PoGammaSemigroup, a: int, kind: str):
     """First witness of the given kind for a, or None.
 
@@ -197,11 +207,11 @@ def regularity(s: PoGammaSemigroup, a: int, kind: str):
     """
     if kind not in _INEQUALITIES:
         raise ValueError(f"unknown regularity kind {kind!r}, expected one of {REGULARITY_KINDS}")
-    memo = _witnesses(s)
-    if (a, kind) not in memo:
+    facts = _facts(s)
+    if (a, kind) not in facts:
         data = _first_hit(s, a, kind, range(s.n))
-        memo[a, kind] = None if data is None else RegularityWitness(kind, a, data)
-    return memo[a, kind]
+        facts[a, kind] = None if data is None else RegularityWitness(kind, a, data)
+    return facts[a, kind]
 
 
 def _least_without(s: PoGammaSemigroup, *kinds):

@@ -3,9 +3,12 @@
 Each checker evaluates one universally quantified claim about bi-ideals
 and regularity on a concrete finite structure and reports pass or a
 violating witness.  Claim ids (prop2 .. thm9) are the stable interface
-used by the CLI filter and by sweep reports.  Equivalence checkers
-evaluate every side of an equivalence independently and compare at the
-end, so a bug in one side cannot mask the other.
+used by the CLI filter and by sweep reports; CHECKERS maps each id to
+its one checker, in catalog order.  Checkers read the facts setcalc
+keeps per structure, so each is computed once however many run.
+Equivalence checkers evaluate every side of an equivalence
+independently and compare at the end, so a bug in one side cannot mask
+the other.
 """
 
 from __future__ import annotations
@@ -29,18 +32,6 @@ from .setcalc import (
     word_product,
 )
 from .setcalc import RegularityWitness, _commute, _least_without, _regular
-
-THEOREM_IDS = (
-    "prop2",
-    "prop3",
-    "prop4",
-    "prop5",
-    "prop6-forward",
-    "prop6-converse",
-    "remark7",
-    "thm8",
-    "thm9",
-)
 
 # the synthetic report `check --force-violation` appends to exercise exit code 1
 FORCED_VIOLATION_ID = "forced-violation"
@@ -149,27 +140,27 @@ def check_prop5(s: PoGammaSemigroup) -> CheckReport:
     return _passed("prop5", f"all three conditions {state} together")
 
 
-def check_prop6(s: PoGammaSemigroup) -> tuple[CheckReport, CheckReport]:
-    """Forward: complete regularity forces B = (BB] for every bi-ideal.
-    Converse, in the printed form: that product property forces every
-    element to be regular (not the full way back to complete regularity)."""
-    cr = is_completely_regular(s) is None
+def check_prop6_forward(s: PoGammaSemigroup) -> CheckReport:
+    """Complete regularity forces B = (BB] for every bi-ideal B."""
+    if is_completely_regular(s) is not None:
+        return _passed("prop6-forward", "forward direction is vacuous (not completely regular)")
     product_fail = product_failure(s)
-    product_prop = product_fail is None
-    if cr and not product_prop:
-        forward = _violated("prop6-forward", {"bi_ideal": sorted(product_fail)},
-                            f"bi-ideal {sorted(product_fail)} differs from (BB]")
-    else:
-        state = "applies" if cr else "is vacuous (not completely regular)"
-        forward = _passed("prop6-forward", f"forward direction {state}")
+    if product_fail is not None:
+        return _violated("prop6-forward", {"bi_ideal": sorted(product_fail)},
+                         f"bi-ideal {sorted(product_fail)} differs from (BB]")
+    return _passed("prop6-forward", "forward direction applies")
+
+
+def check_prop6_converse(s: PoGammaSemigroup) -> CheckReport:
+    """In the printed form: B = (BB] for every bi-ideal B forces every
+    element to be regular (not the full way back to complete regularity)."""
+    if product_failure(s) is not None:
+        return _passed("prop6-converse", "converse direction is vacuous (product property fails)")
     reg_fail = _least_without(s, "regular")
-    if product_prop and reg_fail is not None:
-        converse = _violated("prop6-converse", {"element": reg_fail},
-                             f"every bi-ideal equals (BB] yet {reg_fail} is not regular")
-    else:
-        state = "applies" if product_prop else "is vacuous (product property fails)"
-        converse = _passed("prop6-converse", f"converse direction {state}")
-    return forward, converse
+    if reg_fail is not None:
+        return _violated("prop6-converse", {"element": reg_fail},
+                         f"every bi-ideal equals (BB] yet {reg_fail} is not regular")
+    return _passed("prop6-converse", "converse direction applies")
 
 
 def check_remark7(s: PoGammaSemigroup) -> CheckReport:
@@ -254,31 +245,27 @@ def check_thm9(s: PoGammaSemigroup) -> CheckReport:
     return _passed("thm9", f"all three conditions {state} together")
 
 
-_SINGLE_CHECKERS = {
+CHECKERS = {
     "prop2": check_prop2,
     "prop3": check_prop3,
     "prop4": check_prop4,
     "prop5": check_prop5,
+    "prop6-forward": check_prop6_forward,
+    "prop6-converse": check_prop6_converse,
     "remark7": check_remark7,
     "thm8": check_thm8,
     "thm9": check_thm9,
 }
+THEOREM_IDS = tuple(CHECKERS)
 
 
 def run_selected(s: PoGammaSemigroup, ids) -> list[CheckReport]:
     """Run the named checkers, reporting in catalog order."""
     wanted = set(ids)
-    unknown = wanted - set(THEOREM_IDS)
+    unknown = wanted - CHECKERS.keys()
     if unknown:
         raise ValueError(f"unknown theorem ids: {sorted(unknown)}")
-    results = {}
-    if wanted & {"prop6-forward", "prop6-converse"}:
-        forward, converse = check_prop6(s)
-        results["prop6-forward"] = forward
-        results["prop6-converse"] = converse
-    for tid in wanted - {"prop6-forward", "prop6-converse"}:
-        results[tid] = _SINGLE_CHECKERS[tid](s)
-    return [results[tid] for tid in THEOREM_IDS if tid in wanted]
+    return [check(s) for tid, check in CHECKERS.items() if tid in wanted]
 
 
 def run_all(s: PoGammaSemigroup) -> list[CheckReport]:

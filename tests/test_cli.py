@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURE_DIR, REPO_ROOT, make_min_chain
 from pogamma import formats
@@ -15,6 +17,7 @@ from pogamma.enumeration import SweepViolation, sweep
 from pogamma.formats import REPORT_FORMAT, STRUCTURE_FORMAT, doc_to_report
 from pogamma.model import validate_structure
 from pogamma.theorems import THEOREM_IDS, CheckReport
+from test_formats import _mutated
 
 MIN_CHAIN = str(FIXTURE_DIR / "min_chain.json")
 NULL_TABLE = str(FIXTURE_DIR / "null_table.json")
@@ -245,6 +248,47 @@ def test_check_axiom_breaking_input(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["check", str(path)]) == 2
     capsys.readouterr()
+
+
+# -- the exit-code contract over file content and flag mixes -----------------
+
+_FIXTURE_BYTES = [p.read_bytes() for p in sorted(FIXTURE_DIR.glob("*.json"))]
+_CONTENT = st.one_of(
+    st.sampled_from(_FIXTURE_BYTES),
+    st.sampled_from([json.loads(b) for b in _FIXTURE_BYTES]).flatmap(_mutated).map(
+        lambda doc: json.dumps(doc).encode("utf-8")),
+    st.binary(max_size=64),
+)
+_FORMAT = st.sampled_from([[], ["--format", "text"], ["--format", "machine"]])
+_ARGS = st.one_of(
+    st.tuples(st.sampled_from(["validate", "analyze"]), _FORMAT).map(lambda c: [c[0], *c[1]]),
+    st.tuples(st.sampled_from([[]] + [["--theorem", t] for t in THEOREM_IDS + ("all",)]),
+              st.sampled_from([[], ["--force-violation"]]), _FORMAT).map(
+        lambda c: ["check", *c[0], *c[1], *c[2]]),
+)
+
+
+def _shows_violation(args, out) -> bool:
+    """Whether stdout reports a violated claim: a VIOLATION line of check's
+    text output, or a violation status in its machine report."""
+    if args[0] != "check" or not out:
+        return False
+    if "machine" in args:
+        return any(r["status"] == "violation" for r in json.loads(out)["payload"]["reports"])
+    return any(line.split(": ", 1)[1].startswith("VIOLATION") for line in out.splitlines())
+
+
+@given(content=_CONTENT, args=_ARGS)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_exit_code_is_1_exactly_when_a_violation_is_shown(tmp_path, capsys, content, args):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code = main([args[0], str(path), *args[1:]])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert (code == 1) == _shows_violation(args, captured.out)
+    assert "Traceback" not in captured.err
 
 
 def test_sweep_text(capsys):

@@ -358,10 +358,12 @@ def test_sweep_generates_the_table_stream_once(monkeypatch):
 
 
 def test_sweep_scans_each_witness_and_lists_bi_ideals_once_per_structure(monkeypatch):
-    # whole-universe witness scans and bi-ideal tests, per structure;
-    # thm9's scans over (M a M] pass a subset pool and are not counted
-    scans, bi_tests = Counter(), Counter()
-    first_hit, is_bi_ideal = setcalc._first_hit, setcalc.is_bi_ideal
+    # whole-universe witness scans, bi-ideal tests and product-property
+    # squares BB, per structure; thm9's scans over (M a M] pass a subset
+    # pool and are not counted, nor are squares of sets other than the
+    # listed bi-ideals
+    scans, bi_tests, squares = Counter(), Counter(), Counter()
+    first_hit, is_bi_ideal, set_product = setcalc._first_hit, setcalc.is_bi_ideal, setcalc.set_product
 
     def counted_first_hit(s, a, kind, pool):
         if pool == range(s.n):
@@ -372,12 +374,19 @@ def test_sweep_scans_each_witness_and_lists_bi_ideals_once_per_structure(monkeyp
         bi_tests[s] += 1
         return is_bi_ideal(s, b)
 
+    def counted_set_product(s, a, b):
+        if a is b and any(a is x for x in setcalc._facts(s).get("bi_ideals", ())):
+            squares[s, a] += 1
+        return set_product(s, a, b)
+
     monkeypatch.setattr(setcalc, "_first_hit", counted_first_hit)
     monkeypatch.setattr(setcalc, "is_bi_ideal", counted_is_bi_ideal)
-    setcalc._witnesses.cache_clear()
-    setcalc._bi_ideals.cache_clear()
+    monkeypatch.setattr(setcalc, "set_product", counted_set_product)
     assert sweep(EnumSpec(3, 1)).structures == 173
     assert len(bi_tests) == 173
     assert max(scans.values()) <= 5 * 3
     # one listing tests each of the 2^3 - 1 nonempty subsets once
     assert set(bi_tests.values()) == {2 ** 3 - 1}
+    # one product-property scan squares each bi-ideal it reaches once
+    assert {s for s, _ in squares} == set(bi_tests)
+    assert set(squares.values()) == {1}

@@ -140,6 +140,21 @@ def test_validation_report_round_trip():
         assert back == report
 
 
+@pytest.mark.parametrize("entry", [True, 0.5, None, "x", 5, -1])
+def test_entry_range_reports_round_trip(entry):
+    # a table built in code may hold any value; its report names it as is
+    from pogamma.model import GammaTables, validate_gamma_tables
+    report = validate_gamma_tables(GammaTables(n=2, m=1, op=(((entry, 0), (0, 0)),)))
+    assert report.failures == (("entry-range", (0, 0, 0, entry)),)
+    doc = json.loads(serialize_report(report))
+    back = doc_to_report(doc)
+    assert back == report
+    assert type(back.failures[0][1][3]) is type(entry)
+    doc["payload"]["failures"][0][1][3] = [entry]   # not a scalar
+    with pytest.raises(FormatError):
+        doc_to_report(doc)
+
+
 def test_check_report_round_trip():
     reports = run_all(make_min_chain())
     text = serialize_report(reports)

@@ -1,7 +1,9 @@
 """Claim checkers: catalog order, pass behavior, witness derivations, and
 naive cross-checks of two checkers on every labeled structure at n = 2."""
 
-from itertools import combinations
+import hashlib
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
@@ -12,12 +14,15 @@ from conftest import (
     named_structures,
     structure_pool,
 )
+from pogamma.formats import serialize_report
+from pogamma.model import structure_from_rows
 from pogamma.setcalc import regularity
 from pogamma.theorems import (
     THEOREM_IDS,
     CheckReport,
     check_prop4,
-    check_prop6,
+    check_prop6_converse,
+    check_prop6_forward,
     check_remark7,
     check_thm8,
     run_all,
@@ -67,10 +72,10 @@ def test_run_selected_rejects_unknown_ids():
 
 def test_prop6_directions_are_vacuous_where_hypotheses_fail():
     # the null table is neither completely regular nor product-closed
-    forward, converse = check_prop6(make_null_table())
+    forward, converse = check_prop6_forward(make_null_table()), check_prop6_converse(make_null_table())
     assert forward.status == "pass" and "vacuous" in forward.detail
     assert converse.status == "pass" and "vacuous" in converse.detail
-    forward, converse = check_prop6(make_min_chain())
+    forward, converse = check_prop6_forward(make_min_chain()), check_prop6_converse(make_min_chain())
     assert "applies" in forward.detail
     assert "applies" in converse.detail
 
@@ -172,3 +177,55 @@ def test_naive_cross_check_on_all_labeled_n2_structures():
     for s in labeled:
         assert (check_prop4(s).status == "pass") == _naive_prop4_holds(s)
         assert (check_remark7(s).status == "pass") == _naive_remark7_holds(s)
+
+
+def _axiom_breaking_structures():
+    """Every raw table fill at (2, 1) and (2, 2), each paired with every
+    reflexive relation, then the (3, 1) structure on which prop4 first
+    fails: none of them need satisfy the axioms, so between them they
+    reach the violation branch of every checker."""
+    for n, m in ((2, 1), (2, 2)):
+        for cells in product(range(n), repeat=m * n * n):
+            rows = [[cells[(g * n + a) * n:(g * n + a + 1) * n] for a in range(n)]
+                    for g in range(m)]
+            for bits in product((0, 1), repeat=n * n - n):
+                off = iter(bits)
+                yield structure_from_rows(
+                    rows, [[1 if a == b else next(off) for b in range(n)] for a in range(n)])
+    yield structure_from_rows([[[0, 0, 0]] * 3], [[1, 0, 0], [0, 1, 1], [1, 0, 1]])
+
+
+# sha256 over the concatenated machine reports of every axiom-breaking
+# structure: run_all under "all", and a one-id run_selected under each id
+VIOLATION_SHA256 = {
+    "all": "324af4a7630b95958b7ee736480a767cd3ad847489f21d97541ca3f3b3116773",
+    "prop2": "a224bfeec870c1e5680dbe62588934697fc5dd72ccbfc5c59b1dd668090e1cc0",
+    "prop3": "d4f979b3bec050e89b7867035050819304d7212d353bc270abb744c9d6cb38b1",
+    "prop4": "92b0fa027285fed6843c1e3d1f1e4e2d7ab9c66729c81851738d0ab2fee5a3cd",
+    "prop5": "83a4de76933db4d8cf67671d95599b13c40b0fd02fab50e5e31a63ff9a8091b7",
+    "prop6-forward": "4da251738f670e97db56b5dc31ac5fc96779064028aa0e3474214f72b830d22d",
+    "prop6-converse": "7bcffcbcc20d7d21aa9f67794d19a63d54a0ee8dccea26f82b905d03cb795e20",
+    "remark7": "59df6f9b6c81f431b11ed2c0ccaba2a50f9ab289b0db14cf1a3fe24a9bb85046",
+    "thm8": "9a63bb6b7b3aa671cc0ed3ec90b8475226adadfc87e214a36f6489bca086ab36",
+    "thm9": "4556db6f83e1634c5cd2d3184bc4c370f36318c5047f3a0185d58b533bc65c0d",
+}
+
+
+def test_violation_branches_are_pinned_on_axiom_breaking_structures():
+    structures = list(_axiom_breaking_structures())
+    assert len(structures) == 64 + 1024 + 1
+    digests = {key: hashlib.sha256() for key in VIOLATION_SHA256}
+    violated = Counter()
+    for s in structures:
+        reports = run_all(s)
+        digests["all"].update(serialize_report(reports).encode("utf-8"))
+        violated.update(r.theorem_id for r in reports if r.status == "violation")
+    # one id at a time over the whole list, so each check starts on
+    # facts computed for a different structure
+    for tid in THEOREM_IDS:
+        for s in structures:
+            digests[tid].update(serialize_report(run_selected(s, [tid])).encode("utf-8"))
+    assert set(violated) == set(THEOREM_IDS)
+    assert violated == {"prop2": 82, "prop3": 76, "prop4": 1, "prop5": 12, "prop6-forward": 12,
+                        "prop6-converse": 70, "remark7": 22, "thm8": 164, "thm9": 54}
+    assert {key: d.hexdigest() for key, d in digests.items()} == VIOLATION_SHA256
