@@ -19,9 +19,9 @@ generation, 1978, and McKay, "Isomorph-free exhaustive generation",
 stays as the test oracle.
 
 A sweep generates the table stream once and maps one per-table tally
-over it, with the builtin map on one worker and Pool.imap on several;
-both return per-table results in stream order, so any worker count
-reproduces the single-worker report byte for byte.
+over it, with the builtin map on one worker or a short stream and
+Pool.imap otherwise; both return per-table results in stream order, so
+any worker count reproduces the single-worker report byte for byte.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import os
 import random
 from dataclasses import MISSING, dataclass, field, fields
 from functools import lru_cache, partial
-from itertools import permutations, product
+from itertools import chain, islice, permutations, product
 from operator import iadd
 
 from . import setcalc, theorems
@@ -385,9 +385,10 @@ def sweep(spec: EnumSpec, theorem_ids=None, workers: int = 1) -> SweepReport:
 
     The table stream is generated once, here, and each table is tallied
     on its own: by the builtin map when the worker count, capped at the
-    CPU count, is 1, and by Pool.imap otherwise.  Both yield per-table
-    results in stream order, so the report is identical for any worker
-    count.
+    CPU count, is 1 or the stream ends within the pool's first round of
+    workers * SWEEP_CHUNK tables, and by Pool.imap otherwise.  Both yield
+    per-table results in stream order, so the report is identical for
+    any worker count.
     """
     spec.validate()
     ids = tuple(theorem_ids) if theorem_ids else theorems.THEOREM_IDS
@@ -396,7 +397,10 @@ def sweep(spec: EnumSpec, theorem_ids=None, workers: int = 1) -> SweepReport:
         raise ValueError(f"unknown theorem ids: {sorted(unknown)}")
     workers = min(workers, os.cpu_count() or 1)
     tally = partial(_table_tally, spec, ids)
-    if workers == 1:
-        return _merge_partitions(spec, ids, map(tally, enumerate_tables(spec)))
+    tables = enumerate_tables(spec)
+    head = list(islice(tables, workers * SWEEP_CHUNK))
+    stream = chain(head, tables)
+    if workers == 1 or len(head) < workers * SWEEP_CHUNK:
+        return _merge_partitions(spec, ids, map(tally, stream))
     with multiprocessing.Pool(workers) as pool:
-        return _merge_partitions(spec, ids, pool.imap(tally, enumerate_tables(spec), SWEEP_CHUNK))
+        return _merge_partitions(spec, ids, pool.imap(tally, stream, SWEEP_CHUNK))

@@ -10,6 +10,7 @@ every operation.  All core types are immutable after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -157,7 +158,9 @@ def validate_gamma_tables(t: GammaTables) -> ValidationReport:
     Associativity is required in the strong mixed form: (a g b) u c must
     equal a g (b u c) for every pair of letters g, u.  It is only
     meaningful once all entries are in range, so range failures suppress
-    the associativity scan.
+    the associativity scan.  An entry-range witness ends with the entry
+    itself when JSON writes it as a scalar, and with its repr otherwise
+    (NaN, an infinity, a tuple), so every report is JSON.
     """
     _check_table_shape(t)
     n = t.n
@@ -166,7 +169,9 @@ def validate_gamma_tables(t: GammaTables) -> ValidationReport:
         for a, row in enumerate(table):
             for b, v in enumerate(row):
                 if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
-                    failures.append(("entry-range", (g, a, b, v)))
+                    scalar = v is None or isinstance(v, (int, str)) or (
+                        isinstance(v, float) and math.isfinite(v))
+                    failures.append(("entry-range", (g, a, b, v if scalar else repr(v))))
     if not failures:
         cells = [v for table in t.op for row in table for v in row]
         failures = [("gamma-associativity", w) for w in

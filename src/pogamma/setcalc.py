@@ -5,6 +5,16 @@ docstrings we write juxtaposition AB for the product set {x g y : x in
 A, g any letter, y in B} and (A] for the downward closure of A, so for
 example (A u AMA] is the closure of A united with the three-factor
 product through the whole universe M.
+
+Each structure also gets one set of bitmask tables, _Masks (element i
+is bit i), built once per structure in the fact memo: (A] and AM for
+every mask A, xB for every element x and mask B, the bi-ideals, and the
+first bi-ideal B with (BB] != B.  A closure is then one lookup and a
+product AB an OR of one lookup per element of A.  all_bi_ideals,
+product_failure and the subset-algebra checkers (prop2, prop4, prop5,
+thm9) read the tables.  The frozenset functions (downward_closure,
+set_product, word_product, is_bi_ideal, bi_ideal_generated_formula, ...)
+stay as the definitions, and the tests hold the tables against them.
 """
 
 from __future__ import annotations
@@ -113,34 +123,85 @@ _last = (None, {})   # the structure last asked about, and its facts
 
 def _facts(s: PoGammaSemigroup) -> dict:
     """Facts about s, found by identity (never by hashing its nested tuples) until another
-    structure is asked about: (element, kind) witnesses, "bi_ideals", "product_failure"."""
+    structure is asked about: (element, kind) witnesses and "masks"."""
     global _last
     if _last[0] is not s:
         _last = (s, {})
     return _last[1]
 
 
-def _bi_ideals(s: PoGammaSemigroup) -> tuple:
+def _union_table(size: int, per_bit) -> list:
+    """t[A] for every mask A < size: the union of per_bit[i] over the bits i of A,
+    each entry the entry without A's lowest bit plus that bit's own."""
+    t = [0] * size
+    for a in range(1, size):
+        low = a & -a
+        t[a] = t[a ^ low] | per_bit[low.bit_length() - 1]
+    return t
+
+
+def _members(mask: int) -> list:
+    """The elements of a mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+class _Masks:
+    """Bitmask tables of one structure, element i as bit i: clo[A] is (A],
+    am[A] is AM, left[x][B] is xB and pe[x][y] is x g y over every letter g;
+    bi_ideals lists every bi-ideal B, ascending (B = (B] and BMB inside B),
+    and product_failure is the first of them with (BB] != B, or None."""
+
+    __slots__ = ("full", "clo", "am", "left", "pe", "bi_ideals", "product_failure")
+
+    def __init__(self, s: PoGammaSemigroup):
+        n, op, leq = s.n, s.tables.op, s.order.leq
+        size = 1 << n
+        self.full = size - 1
+        down = [sum(1 << t for t in range(n) if leq[t][u]) for u in range(n)]
+        self.clo = _union_table(size, down)
+        self.pe = [[0] * n for _ in range(n)]
+        for table in op:
+            for x, row in enumerate(table):
+                for y, z in enumerate(row):
+                    self.pe[x][y] |= 1 << z
+        self.left = [_union_table(size, row) for row in self.pe]
+        self.am = _union_table(size, [row[self.full] for row in self.left])
+        self.bi_ideals = tuple(b for b in range(1, size)
+                               if self.clo[b] == b and not self.mul(self.am[b], b) & ~b)
+        self.product_failure = next(
+            (b for b in self.bi_ideals if self.clo[self.mul(b, b)] != b), None)
+
+    def mul(self, a: int, b: int) -> int:
+        """AB"""
+        out = 0
+        for x, row in enumerate(self.left):
+            if a >> x & 1:
+                out |= row[b]
+        return out
+
+    def generated(self, a: int) -> int:
+        """(A u AMA], the bi-ideal generated by a nonempty A"""
+        return self.clo[a | self.mul(self.am[a], a)]
+
+
+def _masks(s: PoGammaSemigroup) -> _Masks:
+    """The bitmask tables of s, built on first request."""
     facts = _facts(s)
-    if "bi_ideals" not in facts:
-        subsets = (frozenset(i for i in range(s.n) if mask >> i & 1) for mask in range(1, 1 << s.n))
-        facts["bi_ideals"] = tuple(b for b in subsets if is_bi_ideal(s, b))
-    return facts["bi_ideals"]
+    if "masks" not in facts:
+        facts["masks"] = _Masks(s)
+    return facts["masks"]
 
 
 def all_bi_ideals(s: PoGammaSemigroup) -> list:
     """Every bi-ideal, ascending by bit pattern (element i is bit i)."""
-    return list(_bi_ideals(s))
+    return [frozenset(_members(b)) for b in _masks(s).bi_ideals]
 
 
 def product_failure(s: PoGammaSemigroup):
     """First bi-ideal B with (BB] != B, or None: the one definition of
     the bi-ideal product property, scanned once per structure."""
-    facts = _facts(s)
-    if "product_failure" not in facts:
-        facts["product_failure"] = next(
-            (b for b in _bi_ideals(s) if downward_closure(s, set_product(s, b, b)) != b), None)
-    return facts["product_failure"]
+    bad = _masks(s).product_failure
+    return None if bad is None else frozenset(_members(bad))
 
 
 def semiprime_failure(s: PoGammaSemigroup, b):

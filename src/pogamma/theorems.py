@@ -17,21 +17,14 @@ from dataclasses import dataclass
 
 from .model import PoGammaSemigroup
 from .setcalc import (
-    all_bi_ideals,
-    bi_ideal_generated_formula,
-    downward_closure,
     is_completely_regular,
     is_strongly_regular,
     is_strongly_regular_subset,
-    is_subsemigroup,
     product_failure,
     regularity,
-    semiprime_failure,
-    set_product,
     witness_holds,
-    word_product,
 )
-from .setcalc import RegularityWitness, _commute, _least_without, _regular
+from .setcalc import RegularityWitness, _commute, _least_without, _masks, _members, _regular
 
 # the synthetic report `check --force-violation` appends to exercise exit code 1
 FORCED_VIOLATION_ID = "forced-violation"
@@ -61,15 +54,15 @@ def _violated(tid: str, witness: dict, detail: str) -> CheckReport:
 
 def check_prop2(s: PoGammaSemigroup) -> CheckReport:
     """B(x) M B(y) <= (x M y] for all elements x, y."""
-    u = s.universe
-    generated = [bi_ideal_generated_formula(s, {a}) for a in range(s.n)]
+    t = _masks(s)
+    generated = [t.generated(1 << a) for a in range(s.n)]
     for x in range(s.n):
         for y in range(s.n):
-            lhs = word_product(s, [generated[x], u, generated[y]])
-            rhs = downward_closure(s, word_product(s, [{x}, u, {y}]))
-            extra = lhs - rhs
+            lhs = t.mul(t.am[generated[x]], generated[y])
+            rhs = t.clo[t.mul(t.am[1 << x], 1 << y)]
+            extra = lhs & ~rhs
             if extra:
-                e = min(extra)
+                e = _members(extra)[0]
                 return _violated("prop2", {"x": x, "y": y, "element": e},
                                  f"element {e} of B({x})MB({y}) escapes (x M y]")
     return _passed("prop2", "B(x)MB(y) <= (xMy] for all pairs")
@@ -95,17 +88,16 @@ def check_prop4(s: PoGammaSemigroup) -> CheckReport:
     """Complete regularity holds exactly when every bi-ideal is semiprime."""
     cr_fail = is_completely_regular(s)
     cr = cr_fail is None
-    bad = None
-    for b in all_bi_ideals(s):
-        a = semiprime_failure(s, b)
-        if a is not None:
-            bad = (b, a)
-            break
+    t = _masks(s)
+    # the first bi-ideal B with a least a outside B but aa inside B
+    bad = next(((b, a) for b in t.bi_ideals for a in range(s.n)
+                if not b >> a & 1 and not t.pe[a][a] & ~b), None)
     all_semiprime = bad is None
     if cr != all_semiprime:
         if bad is not None:
-            witness = {"bi_ideal": sorted(bad[0]), "element": bad[1]}
-            detail = f"completely regular but bi-ideal {sorted(bad[0])} is not semiprime at {bad[1]}"
+            members = _members(bad[0])
+            witness = {"bi_ideal": members, "element": bad[1]}
+            detail = f"completely regular but bi-ideal {members} is not semiprime at {bad[1]}"
         else:
             witness = {"element": cr_fail}
             detail = f"every bi-ideal semiprime but element {cr_fail} is not completely regular"
@@ -117,15 +109,15 @@ def check_prop4(s: PoGammaSemigroup) -> CheckReport:
 def check_prop5(s: PoGammaSemigroup) -> CheckReport:
     """Complete regularity, B(a) = B(aa) = B(aaMaa) for all a, and
     B(a) = B(aa) for all a hold or fail together."""
-    u = s.universe
+    t = _masks(s)
     cr = is_completely_regular(s) is None
     chain_ok, chain_wit = True, None
     pair_ok, pair_wit = True, None
     for a in range(s.n):
-        single = frozenset({a})
-        b_a = bi_ideal_generated_formula(s, single)
-        b_aa = bi_ideal_generated_formula(s, set_product(s, single, single))
-        b_big = bi_ideal_generated_formula(s, word_product(s, [single, single, u, single, single]))
+        single, aa = 1 << a, t.pe[a][a]
+        b_a = t.generated(single)
+        b_aa = t.generated(aa)
+        b_big = t.generated(t.mul(t.mul(t.am[aa], single), single))
         if pair_ok and b_a != b_aa:
             pair_ok, pair_wit = False, a
         if chain_ok and not (b_a == b_aa == b_big):
@@ -219,23 +211,22 @@ def check_thm9(s: PoGammaSemigroup) -> CheckReport:
     a failure there is reported as a violation outright; an empty (M a M]
     cannot occur but would falsify conditions (2) and (3).
     """
-    u = s.universe
+    t = _masks(s)
     b1 = is_strongly_regular(s) is None
     sub_ok = True
     for a in range(s.n):
-        span = downward_closure(s, word_product(s, [u, {a}, u]))
+        span = t.clo[t.am[t.mul(t.full, 1 << a)]]
         if not span:
             sub_ok = False
             continue
-        if not is_subsemigroup(s, span):
-            return _violated("thm9", {"a": a, "subset": sorted(span)},
+        if t.mul(span, span) & ~span:
+            return _violated("thm9", {"a": a, "subset": _members(span)},
                              f"(M {a} M] is not a subsemigroup")
-        if not is_strongly_regular_subset(s, span):
+        if not is_strongly_regular_subset(s, _members(span)):
             sub_ok = False
     one_sided = _least_without(s, "left-regular", "right-regular") is None
     b2 = one_sided and sub_ok
-    sided_ok = all(a in downward_closure(s, word_product(s, [u, {a}]))
-                   and a in downward_closure(s, word_product(s, [{a}, u])) for a in range(s.n))
+    sided_ok = all(t.clo[t.mul(t.full, 1 << a)] & t.clo[t.am[1 << a]] & 1 << a for a in range(s.n))
     b3 = sided_ok and sub_ok
     if not (b1 == b2 == b3):
         return _violated("thm9",

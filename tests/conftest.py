@@ -1,6 +1,7 @@
 """Shared builders and cached enumeration pools for the test suite."""
 
 from functools import lru_cache
+from itertools import product
 from pathlib import Path
 
 from pogamma.enumeration import EnumSpec, enumerate_structures, enumerate_tables
@@ -68,3 +69,19 @@ def nonempty_subsets(n):
 def all_subsets(n):
     for mask in range(1 << n):
         yield frozenset(i for i in range(n) if mask >> i & 1)
+
+
+def axiom_breaking_structures():
+    """Every raw table fill at (2, 1) and (2, 2), each paired with every
+    reflexive relation, then the (3, 1) structure on which prop4 first
+    fails: none of them need satisfy the axioms, so between them they
+    reach the violation branch of every checker."""
+    for n, m in ((2, 1), (2, 2)):
+        for cells in product(range(n), repeat=m * n * n):
+            rows = [[cells[(g * n + a) * n:(g * n + a + 1) * n] for a in range(n)]
+                    for g in range(m)]
+            for bits in product((0, 1), repeat=n * n - n):
+                off = iter(bits)
+                yield structure_from_rows(
+                    rows, [[1 if a == b else next(off) for b in range(n)] for a in range(n)])
+    yield structure_from_rows([[[0, 0, 0]] * 3], [[1, 0, 0], [0, 1, 1], [1, 0, 1]])

@@ -358,35 +358,38 @@ def test_sweep_generates_the_table_stream_once(monkeypatch):
 
 
 def test_sweep_scans_each_witness_and_lists_bi_ideals_once_per_structure(monkeypatch):
-    # whole-universe witness scans, bi-ideal tests and product-property
-    # squares BB, per structure; thm9's scans over (M a M] pass a subset
-    # pool and are not counted, nor are squares of sets other than the
-    # listed bi-ideals
-    scans, bi_tests, squares = Counter(), Counter(), Counter()
-    first_hit, is_bi_ideal, set_product = setcalc._first_hit, setcalc.is_bi_ideal, setcalc.set_product
+    # whole-universe witness scans and bitmask table builds per structure;
+    # thm9's scans over (M a M] pass a subset pool and are not counted.
+    # The bi-ideal listing and every subset-algebra checker read the tables.
+    scans, builds = Counter(), Counter()
+    first_hit = setcalc._first_hit
 
     def counted_first_hit(s, a, kind, pool):
         if pool == range(s.n):
             scans[s] += 1
         return first_hit(s, a, kind, pool)
 
-    def counted_is_bi_ideal(s, b):
-        bi_tests[s] += 1
-        return is_bi_ideal(s, b)
+    class CountedMasks(setcalc._Masks):
+        __slots__ = ()
 
-    def counted_set_product(s, a, b):
-        if a is b and any(a is x for x in setcalc._facts(s).get("bi_ideals", ())):
-            squares[s, a] += 1
-        return set_product(s, a, b)
+        def __init__(self, s):
+            builds[s] += 1
+            super().__init__(s)
 
     monkeypatch.setattr(setcalc, "_first_hit", counted_first_hit)
-    monkeypatch.setattr(setcalc, "is_bi_ideal", counted_is_bi_ideal)
-    monkeypatch.setattr(setcalc, "set_product", counted_set_product)
+    monkeypatch.setattr(setcalc, "_Masks", CountedMasks)
     assert sweep(EnumSpec(3, 1)).structures == 173
-    assert len(bi_tests) == 173
     assert max(scans.values()) <= 5 * 3
-    # one listing tests each of the 2^3 - 1 nonempty subsets once
-    assert set(bi_tests.values()) == {2 ** 3 - 1}
-    # one product-property scan squares each bi-ideal it reaches once
-    assert {s for s, _ in squares} == set(bi_tests)
-    assert set(squares.values()) == {1}
+    # classify and all nine checkers share one set of tables per structure
+    assert len(builds) == 173
+    assert set(builds.values()) == {1}
+
+
+def test_sweep_runs_a_short_table_stream_in_process(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stream shorter than the pool's first round runs in process")
+
+    solo = sweep(EnumSpec(2, 2), workers=1)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(enumeration.multiprocessing, "Pool", refuse)
+    assert sweep(EnumSpec(2, 2), workers=2) == solo

@@ -140,16 +140,23 @@ def test_validation_report_round_trip():
         assert back == report
 
 
-@pytest.mark.parametrize("entry", [True, 0.5, None, "x", 5, -1])
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("entry", [True, 0.5, None, "x", 5, -1, float("nan"), float("inf"), (0,)])
 def test_entry_range_reports_round_trip(entry):
     # a table built in code may hold any value; its report names it as is
+    # when JSON has a scalar for it, and by its repr otherwise
     from pogamma.model import GammaTables, validate_gamma_tables
+    scalar = not isinstance(entry, tuple) and entry == entry and entry != float("inf")
+    written = entry if scalar else repr(entry)
     report = validate_gamma_tables(GammaTables(n=2, m=1, op=(((entry, 0), (0, 0)),)))
-    assert report.failures == (("entry-range", (0, 0, 0, entry)),)
-    doc = json.loads(serialize_report(report))
+    assert report.failures == (("entry-range", (0, 0, 0, written)),)
+    doc = json.loads(serialize_report(report), parse_constant=_refuse_constant)
     back = doc_to_report(doc)
     assert back == report
-    assert type(back.failures[0][1][3]) is type(entry)
+    assert type(back.failures[0][1][3]) is type(written)
     doc["payload"]["failures"][0][1][3] = [entry]   # not a scalar
     with pytest.raises(FormatError):
         doc_to_report(doc)

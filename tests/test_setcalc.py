@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    all_subsets,
+    axiom_breaking_structures,
     make_left_zero,
     make_min_chain,
     make_null_table,
@@ -15,6 +17,8 @@ from conftest import (
     nonempty_subsets,
     structure_pool,
 )
+from pogamma import setcalc
+from pogamma.enumeration import random_structures
 from pogamma.setcalc import (
     REGULARITY_KINDS,
     RegularityWitness,
@@ -29,6 +33,7 @@ from pogamma.setcalc import (
     is_strongly_regular,
     is_strongly_regular_subset,
     is_subsemigroup,
+    product_failure,
     regularity,
     semiprime_failure,
     set_product,
@@ -133,6 +138,37 @@ def _brute_bi_ideals(s):
 def test_all_bi_ideals_matches_brute_definition():
     for s in structure_pool(2, 2) + structure_pool(3, 1):
         assert all_bi_ideals(s) == _brute_bi_ideals(s)
+
+
+def _mask(elements):
+    return sum(1 << i for i in elements)
+
+
+def test_mask_tables_equal_the_frozenset_definitions():
+    # the raw fills need not be associative, and their relations need not be orders
+    structures = (structure_pool(2, 2, canonical=False) + structure_pool(3, 1, canonical=False)
+                  + tuple(random_structures(3, 2, 40, seed=8))
+                  + tuple(random_structures(4, 1, 40, seed=8))
+                  + tuple(axiom_breaking_structures()))
+    for s in structures:
+        t = setcalc._masks(s)
+        subsets = list(all_subsets(s.n))   # subsets[A] has the bits of A
+        for a, sa in enumerate(subsets):
+            assert t.clo[a] == _mask(downward_closure(s, sa))
+            assert t.am[a] == _mask(set_product(s, sa, s.universe))
+            assert t.mul(t.am[a], a) == _mask(word_product(s, [sa, s.universe, sa]))
+            for b, sb in enumerate(subsets):
+                assert t.mul(a, b) == _mask(set_product(s, sa, sb))
+        for x in range(s.n):
+            assert t.pe[x] == [_mask(set_product(s, {x}, {y})) for y in range(s.n)]
+        nonempty = subsets[1:]
+        bi_ideals = [b for b in nonempty if is_bi_ideal(s, b)]
+        assert t.bi_ideals == tuple(_mask(b) for b in bi_ideals)
+        assert all_bi_ideals(s) == bi_ideals
+        assert product_failure(s) == next(
+            (b for b in bi_ideals if downward_closure(s, set_product(s, b, b)) != b), None)
+        assert [t.generated(a) for a in range(1, 1 << s.n)] == \
+            [_mask(bi_ideal_generated_formula(s, sa)) for sa in nonempty]
 
 
 def test_generated_bi_ideal_examples():

@@ -3,11 +3,12 @@ naive cross-checks of two checkers on every labeled structure at n = 2."""
 
 import hashlib
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 
 from conftest import (
+    axiom_breaking_structures,
     make_min_chain,
     make_null_table,
     make_one_element,
@@ -15,7 +16,6 @@ from conftest import (
     structure_pool,
 )
 from pogamma.formats import serialize_report
-from pogamma.model import structure_from_rows
 from pogamma.setcalc import regularity
 from pogamma.theorems import (
     THEOREM_IDS,
@@ -179,22 +179,6 @@ def test_naive_cross_check_on_all_labeled_n2_structures():
         assert (check_remark7(s).status == "pass") == _naive_remark7_holds(s)
 
 
-def _axiom_breaking_structures():
-    """Every raw table fill at (2, 1) and (2, 2), each paired with every
-    reflexive relation, then the (3, 1) structure on which prop4 first
-    fails: none of them need satisfy the axioms, so between them they
-    reach the violation branch of every checker."""
-    for n, m in ((2, 1), (2, 2)):
-        for cells in product(range(n), repeat=m * n * n):
-            rows = [[cells[(g * n + a) * n:(g * n + a + 1) * n] for a in range(n)]
-                    for g in range(m)]
-            for bits in product((0, 1), repeat=n * n - n):
-                off = iter(bits)
-                yield structure_from_rows(
-                    rows, [[1 if a == b else next(off) for b in range(n)] for a in range(n)])
-    yield structure_from_rows([[[0, 0, 0]] * 3], [[1, 0, 0], [0, 1, 1], [1, 0, 1]])
-
-
 # sha256 over the concatenated machine reports of every axiom-breaking
 # structure: run_all under "all", and a one-id run_selected under each id
 VIOLATION_SHA256 = {
@@ -212,7 +196,7 @@ VIOLATION_SHA256 = {
 
 
 def test_violation_branches_are_pinned_on_axiom_breaking_structures():
-    structures = list(_axiom_breaking_structures())
+    structures = list(axiom_breaking_structures())
     assert len(structures) == 64 + 1024 + 1
     digests = {key: hashlib.sha256() for key in VIOLATION_SHA256}
     violated = Counter()
