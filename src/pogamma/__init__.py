@@ -16,6 +16,7 @@ from .model import (
 from .setcalc import (
     REGULARITY_KINDS,
     RegularityWitness,
+    StructureTooLarge,
     all_bi_ideals,
     bi_ideal_generated_fixpoint,
     bi_ideal_generated_formula,

@@ -62,11 +62,11 @@ def _analysis_payload(s, name) -> dict:
             w = setcalc.regularity(s, a, kind)
             row[kind.replace("-", "_")] = None if w is None else list(w.data)
         elements.append(row)
-    bi_ideals = [{"members": sorted(b), "semiprime": setcalc.is_semiprime(s, b)}
-                 for b in setcalc.all_bi_ideals(s)]
-    generated = [{"element": a,
-                  "bi_ideal": sorted(setcalc.bi_ideal_generated_formula(s, {a}))}
-                 for a in range(s.n)]
+    t = setcalc._masks(s)
+    bi_ideals = [{"members": setcalc._members(b), "semiprime": t.semiprime_failure(b) is None}
+                 for b in t.bi_ideals]
+    generated = [{"element": a, "bi_ideal": setcalc._members(b)}
+                 for a, b in enumerate(t.principal)]
     payload = {}
     if name is not None:
         payload["name"] = name
@@ -228,7 +228,7 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else 2
     try:
         return args.func(args)
-    except (OutputError, FormatError, ValidationFailed, OSError) as e:
+    except (OutputError, FormatError, ValidationFailed, setcalc.StructureTooLarge, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

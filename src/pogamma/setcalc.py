@@ -7,14 +7,13 @@ example (A u AMA] is the closure of A united with the three-factor
 product through the whole universe M.
 
 Each structure also gets one set of bitmask tables, _Masks (element i
-is bit i), built once per structure in the fact memo: (A] and AM for
-every mask A, xB for every element x and mask B, the bi-ideals, and the
-first bi-ideal B with (BB] != B.  A closure is then one lookup and a
-product AB an OR of one lookup per element of A.  all_bi_ideals,
-product_failure and the subset-algebra checkers (prop2, prop4, prop5,
-thm9) read the tables.  The frozenset functions (downward_closure,
-set_product, word_product, is_bi_ideal, bi_ideal_generated_formula, ...)
-stay as the definitions, and the tests hold the tables against them.
+is bit i), built once per structure in the fact memo.  classify, the
+checkers and the CLI's analyze read every subset fact from them:
+bi-ideals, B(a), semiprimeness, the product property.  The frozenset
+functions (downward_closure, set_product, is_bi_ideal,
+semiprime_failure, ...) stay as the definitions, and the tests hold the
+tables against them.  The tables take 2^n entries per element, so past
+MAX_TABLE_ELEMENTS elements building them raises StructureTooLarge.
 """
 
 from __future__ import annotations
@@ -145,16 +144,27 @@ def _members(mask: int) -> list:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+MAX_TABLE_ELEMENTS = 20   # n = 20 already takes seconds and hundreds of MB
+
+
+class StructureTooLarge(ValueError):
+    """The structure has too many elements for the bitmask tables."""
+
+
 class _Masks:
     """Bitmask tables of one structure, element i as bit i: clo[A] is (A],
     am[A] is AM, left[x][B] is xB and pe[x][y] is x g y over every letter g;
     bi_ideals lists every bi-ideal B, ascending (B = (B] and BMB inside B),
-    and product_failure is the first of them with (BB] != B, or None."""
+    principal[a] is B(a) and product_failure the first B with (BB] != B."""
 
-    __slots__ = ("full", "clo", "am", "left", "pe", "bi_ideals", "product_failure")
+    __slots__ = ("full", "clo", "am", "left", "pe", "bi_ideals", "principal", "product_failure")
 
     def __init__(self, s: PoGammaSemigroup):
         n, op, leq = s.n, s.tables.op, s.order.leq
+        if n > MAX_TABLE_ELEMENTS:
+            raise StructureTooLarge(
+                f"n = {n} is past the {MAX_TABLE_ELEMENTS}-element limit of the subset "
+                f"tables, which take 2^n entries per element")
         size = 1 << n
         self.full = size - 1
         down = [sum(1 << t for t in range(n) if leq[t][u]) for u in range(n)]
@@ -168,6 +178,7 @@ class _Masks:
         self.am = _union_table(size, [row[self.full] for row in self.left])
         self.bi_ideals = tuple(b for b in range(1, size)
                                if self.clo[b] == b and not self.mul(self.am[b], b) & ~b)
+        self.principal = tuple(self.generated(1 << a) for a in range(n))
         self.product_failure = next(
             (b for b in self.bi_ideals if self.clo[self.mul(b, b)] != b), None)
 
@@ -182,6 +193,10 @@ class _Masks:
     def generated(self, a: int) -> int:
         """(A u AMA], the bi-ideal generated by a nonempty A"""
         return self.clo[a | self.mul(self.am[a], a)]
+
+    def semiprime_failure(self, b: int):
+        """Least a outside B with aa inside B, or None when B is semiprime."""
+        return next((a for a, row in enumerate(self.pe) if not (b >> a & 1 or row[a] & ~b)), None)
 
 
 def _masks(s: PoGammaSemigroup) -> _Masks:
@@ -316,6 +331,12 @@ def compose_cr_witness(s: PoGammaSemigroup, a: int, reg: RegularityWitness,
     z, lg1, lg2 = lreg.data    # a <= (z lg1 a) lg2 a
     x = s.prod(tg2, s.prod(tg1, y, t), z)
     return RegularityWitness("completely-regular", a, (x, rg1, rg2, lg1, lg2))
+
+
+def _strongly_regular_within(s: PoGammaSemigroup, mask: int) -> bool:
+    """Strong regularity relativized to a subsemigroup given as a mask."""
+    pool = _members(mask)
+    return all(_first_hit(s, b, "strongly-regular", pool) is not None for b in pool)
 
 
 def is_strongly_regular_subset(s: PoGammaSemigroup, t) -> bool:

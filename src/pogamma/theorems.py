@@ -16,15 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import PoGammaSemigroup
-from .setcalc import (
-    is_completely_regular,
-    is_strongly_regular,
-    is_strongly_regular_subset,
-    product_failure,
-    regularity,
-    witness_holds,
-)
+from .setcalc import is_completely_regular, is_strongly_regular, product_failure, regularity
 from .setcalc import RegularityWitness, _commute, _least_without, _masks, _members, _regular
+from .setcalc import _strongly_regular_within, witness_holds
 
 # the synthetic report `check --force-violation` appends to exercise exit code 1
 FORCED_VIOLATION_ID = "forced-violation"
@@ -55,10 +49,9 @@ def _violated(tid: str, witness: dict, detail: str) -> CheckReport:
 def check_prop2(s: PoGammaSemigroup) -> CheckReport:
     """B(x) M B(y) <= (x M y] for all elements x, y."""
     t = _masks(s)
-    generated = [t.generated(1 << a) for a in range(s.n)]
     for x in range(s.n):
         for y in range(s.n):
-            lhs = t.mul(t.am[generated[x]], generated[y])
+            lhs = t.mul(t.am[t.principal[x]], t.principal[y])
             rhs = t.clo[t.mul(t.am[1 << x], 1 << y)]
             extra = lhs & ~rhs
             if extra:
@@ -89,9 +82,9 @@ def check_prop4(s: PoGammaSemigroup) -> CheckReport:
     cr_fail = is_completely_regular(s)
     cr = cr_fail is None
     t = _masks(s)
-    # the first bi-ideal B with a least a outside B but aa inside B
-    bad = next(((b, a) for b in t.bi_ideals for a in range(s.n)
-                if not b >> a & 1 and not t.pe[a][a] & ~b), None)
+    # the first bi-ideal that is not semiprime, with its least failure
+    failures = ((b, t.semiprime_failure(b)) for b in t.bi_ideals)
+    bad = next(((b, a) for b, a in failures if a is not None), None)
     all_semiprime = bad is None
     if cr != all_semiprime:
         if bad is not None:
@@ -115,7 +108,7 @@ def check_prop5(s: PoGammaSemigroup) -> CheckReport:
     pair_ok, pair_wit = True, None
     for a in range(s.n):
         single, aa = 1 << a, t.pe[a][a]
-        b_a = t.generated(single)
+        b_a = t.principal[a]
         b_aa = t.generated(aa)
         b_big = t.generated(t.mul(t.mul(t.am[aa], single), single))
         if pair_ok and b_a != b_aa:
@@ -208,21 +201,17 @@ def check_thm9(s: PoGammaSemigroup) -> CheckReport:
     a strongly regular subsemigroup for every a.  Condition (3): every a
     lies in (M a] and in (a M], with the same subsemigroup requirement.
     The subsemigroup property of (M a M] is itself part of the claim, so
-    a failure there is reported as a violation outright; an empty (M a M]
-    cannot occur but would falsify conditions (2) and (3).
+    a failure there is reported as a violation outright.
     """
     t = _masks(s)
     b1 = is_strongly_regular(s) is None
     sub_ok = True
     for a in range(s.n):
         span = t.clo[t.am[t.mul(t.full, 1 << a)]]
-        if not span:
-            sub_ok = False
-            continue
         if t.mul(span, span) & ~span:
             return _violated("thm9", {"a": a, "subset": _members(span)},
                              f"(M {a} M] is not a subsemigroup")
-        if not is_strongly_regular_subset(s, _members(span)):
+        if not _strongly_regular_within(s, span):
             sub_ok = False
     one_sided = _least_without(s, "left-regular", "right-regular") is None
     b2 = one_sided and sub_ok

@@ -16,6 +16,7 @@ from pogamma.cli import main
 from pogamma.enumeration import SweepViolation, sweep
 from pogamma.formats import REPORT_FORMAT, STRUCTURE_FORMAT, doc_to_report
 from pogamma.model import validate_structure
+from pogamma.setcalc import MAX_TABLE_ELEMENTS
 from pogamma.theorems import THEOREM_IDS, CheckReport
 from test_formats import _mutated
 
@@ -248,6 +249,24 @@ def test_check_axiom_breaking_input(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["check", str(path)]) == 2
     capsys.readouterr()
+
+
+def test_structures_past_the_table_limit_exit_2(tmp_path, capsys):
+    n = MAX_TABLE_ELEMENTS + 1
+    doc = {"format": STRUCTURE_FORMAT, "n": n, "m": 1, "tables": [[[0] * n] * n],
+           "order": [[int(a == b) for b in range(n)] for a in range(n)]}
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    path = str(path)
+    for argv in (["check", path], ["analyze", path], ["check", path, "--format", "machine"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and f"{MAX_TABLE_ELEMENTS}-element" in captured.err
+    # validation and the table-free checker run at any size
+    assert main(["validate", path]) == 0
+    assert main(["check", path, "--theorem", "prop3"]) == 0
+    assert capsys.readouterr().out.endswith("prop3: pass\n")
 
 
 # -- the exit-code contract over file content and flag mixes -----------------

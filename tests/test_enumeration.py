@@ -15,7 +15,7 @@ from conftest import (
     structure_pool,
     table_pool,
 )
-from pogamma import enumeration, setcalc
+from pogamma import cli, enumeration, setcalc, theorems
 from pogamma.enumeration import (
     MAX_TABLE_CELLS,
     SWEEP_EXAMPLE_CAP,
@@ -357,12 +357,27 @@ def test_sweep_generates_the_table_stream_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_sweep_scans_each_witness_and_lists_bi_ideals_once_per_structure(monkeypatch):
+def test_sweep_scans_each_witness_and_lists_bi_ideals_once_per_structure(monkeypatch, capsys):
     # whole-universe witness scans and bitmask table builds per structure;
     # thm9's scans over (M a M] pass a subset pool and are not counted.
-    # The bi-ideal listing and every subset-algebra checker read the tables.
-    scans, builds = Counter(), Counter()
+    # The bi-ideal listing, every checker and analyze read the tables, so
+    # the frozenset definitions (every one goes through set_product or
+    # downward_closure) are never called.
+    scans, builds, frozenset_calls = Counter(), Counter(), Counter()
     first_hit = setcalc._first_hit
+
+    def counted(name):
+        definition = getattr(setcalc, name)
+
+        def call(*args):
+            frozenset_calls[name] += 1
+            return definition(*args)
+        return call
+
+    for module in (setcalc, theorems, enumeration, cli):
+        for name in ("set_product", "downward_closure"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name))
 
     def counted_first_hit(s, a, kind, pool):
         if pool == range(s.n):
@@ -383,6 +398,16 @@ def test_sweep_scans_each_witness_and_lists_bi_ideals_once_per_structure(monkeyp
     # classify and all nine checkers share one set of tables per structure
     assert len(builds) == 173
     assert set(builds.values()) == {1}
+    assert not frozenset_calls
+    for path in sorted(FIXTURE_DIR.glob("*.json")):
+        for command in ("analyze", "check"):
+            for fmt in ("text", "machine"):
+                assert cli.main([command, str(path), "--format", fmt]) == 0
+    capsys.readouterr()
+    assert not frozenset_calls
+    # the counters see a frozenset definition when one is called
+    setcalc.is_bi_ideal(make_min_chain(), {0})
+    assert set(frozenset_calls) == {"set_product", "downward_closure"}
 
 
 def test_sweep_runs_a_short_table_stream_in_process(monkeypatch):

@@ -169,6 +169,13 @@ def test_mask_tables_equal_the_frozenset_definitions():
             (b for b in bi_ideals if downward_closure(s, set_product(s, b, b)) != b), None)
         assert [t.generated(a) for a in range(1, 1 << s.n)] == \
             [_mask(bi_ideal_generated_formula(s, sa)) for sa in nonempty]
+        assert t.principal == tuple(_mask(bi_ideal_generated_formula(s, {a}))
+                                    for a in range(s.n))
+        for a, sa in enumerate(nonempty, start=1):
+            assert t.semiprime_failure(a) == semiprime_failure(s, sa)
+            if is_subsemigroup(s, sa):
+                assert setcalc._strongly_regular_within(s, a) == \
+                    is_strongly_regular_subset(s, sa)
 
 
 def test_generated_bi_ideal_examples():
