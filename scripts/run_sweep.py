@@ -26,7 +26,7 @@ from pathlib import Path
 from pogamma.enumeration import EnumSpec, sweep
 from pogamma.formats import serialize_report, serialize_structure
 
-COMBOS = ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1))
+COMBOS = ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1))
 
 
 def main() -> int:

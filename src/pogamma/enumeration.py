@@ -2,21 +2,23 @@
 isomorphism canonicalization and the claim sweep over everything found.
 
 Tables are generated depth first, one cell at a time in (letter, row,
-column) order, abandoning a partial fill at the first fully determined
-associativity instance that fails in model's scan.  Orders are the
-candidate relations that validate_order accepts, filtered by
+column) order.  Each new cell is checked against the associativity
+instances that can read it, which model's scan lists, so a partial fill
+is abandoned at the first fully determined instance that fails.  Orders
+are the candidate relations that validate_order accepts, filtered by
 compatibility.
 
 Canonical forms are minimal byte encodings over every relabeling of
 elements and letters.  The encoding is table-major, so a structure is
 canonical exactly when its table is minimal over all relabelings and
-its order is minimal over the orbit of the table's automorphisms:
-generation rejects a table after one pass over its relabelings and
-tests each compatible order only against that table's automorphisms
-(lexicographic-minimum isomorph rejection, as in Read's orderly
-generation, 1978, and McKay, "Isomorph-free exhaustive generation",
-1998).  The brute `canonical_key`, which relabels whole structures,
-stays as the test oracle.
+its order is minimal over the orbit of the table's automorphisms.  A
+canonical search prunes a partial fill as soon as some relabeling makes
+its filled prefix smaller, since every completion then loses too, and so
+generates only minimal tables (Read's orderly generation, 1978; McKay,
+"Isomorph-free exhaustive generation", 1998).  Each compatible order is
+then tested only against its table's automorphisms.  The brute
+`canonical_key`, which relabels whole structures, stays as the test
+oracle.
 
 A sweep generates the table stream once and maps one per-table tally
 over it, with the builtin map on one worker or a short stream and
@@ -47,9 +49,12 @@ from .model import (
     validate_order,
 )
 
-# m * n^2 table cells; keeps the search at desk scale (largest supported
-# sweeps are n=3, m=2 and n=4, m=1).
+# m * n^2 table cells; keeps the search at desk scale.  A labeled search
+# lists every table (largest supported: n=3, m=2 and n=4, m=1); a
+# canonical one lists one table per isomorphism class, so it reaches
+# n=3, m=3 and n=5, m=1.
 MAX_TABLE_CELLS = 18
+MAX_CANONICAL_CELLS = 27
 
 # naive generation enumerates n ** (m * n^2) raw fills
 MAX_NAIVE_FILLS = 1_000_000
@@ -75,10 +80,16 @@ class EnumSpec:
         if self.n < 1 or self.m < 1:
             raise ValueError(f"need n >= 1 and m >= 1, got n={self.n}, m={self.m}")
         cells = self.m * self.n * self.n
-        if cells > MAX_TABLE_CELLS:
+        if self.canonical_only and cells > MAX_CANONICAL_CELLS:
             raise ValueError(
-                f"m * n^2 = {cells} exceeds the desk-scale guard of {MAX_TABLE_CELLS}; "
-                f"the largest supported sweeps are n=3, m=2 and n=4, m=1")
+                f"m * n^2 = {cells} exceeds the desk-scale guard of {MAX_CANONICAL_CELLS} for "
+                f"canonical sweeps, which prune all but one table per isomorphism class "
+                f"during the search; the largest supported are n=3, m=3 and n=5, m=1")
+        if not self.canonical_only and cells > MAX_TABLE_CELLS:
+            raise ValueError(
+                f"m * n^2 = {cells} exceeds the desk-scale guard of {MAX_TABLE_CELLS} for "
+                f"labeled sweeps, which list every table; the largest supported are "
+                f"n=3, m=2 and n=4, m=1")
 
 
 def _tables_from_cells(cells, n, m) -> GammaTables:
@@ -89,37 +100,81 @@ def _tables_from_cells(cells, n, m) -> GammaTables:
 
 
 def enumerate_tables(spec: EnumSpec, prefix=()):
-    """Yield every Gamma-associative table family over (n, m) depth first.
+    """Yield every Gamma-associative table family over (n, m) depth first;
+    with canonical_only, only those minimal over every relabeling.
 
     prefix pins the first len(prefix) cells in (letter, row, column)
     order, which partitions the search space for parallel sweeps; the
     concatenation of all single-cell prefixes in ascending order equals
-    the unpartitioned stream.
+    the unpartitioned stream.  Pinned cells are checked as they are
+    placed, like every other cell.
     """
     spec.validate()
     n, m = spec.n, spec.m
     total = m * n * n
     if len(prefix) > total:
         raise ValueError("prefix longer than the table")
-    cells = [-1] * total
-    for i, v in enumerate(prefix):
+    for v in prefix:
         if not 0 <= v < n:
             raise ValueError(f"prefix value {v} out of range")
-        cells[i] = v
-    # looked up once per search and passed down, not once per scan
-    yield from _extend(cells, len(prefix), total, n, m, _associativity_instances(n, m))
+    choices = [(v,) for v in prefix] + [range(n)] * (total - len(prefix))
+    # the identity, first, never makes a prefix smaller
+    relabelings = _relabelings(n, m)[1:] if spec.canonical_only else ()
+    yield from _extend([-1] * total, 0, choices, n, m, _cell_instances(n, m), relabelings)
 
 
-def _extend(cells, pos, total, n, m, instances):
-    if next(_associativity_failures(cells, instances, n), None) is not None:
-        return
-    if pos == total:
+def _extend(cells, pos, choices, n, m, instances, relabelings):
+    """Fill cell pos with each of its choices in turn and recurse past the
+    fills that break no associativity instance and that no relabeling
+    makes smaller; cells before pos are filled, those after are not."""
+    if pos == len(cells):
         yield _tables_from_cells(cells, n, m)
         return
-    for v in range(n):
+    for v in choices[pos]:
         cells[pos] = v
-        yield from _extend(cells, pos + 1, total, n, m, instances)
+        if (next(_associativity_failures(cells, instances[pos], n), None) is None
+                and not _relabeled_prefix_is_smaller(cells, pos, relabelings)):
+            yield from _extend(cells, pos + 1, choices, n, m, instances, relabelings)
     cells[pos] = -1
+
+
+@lru_cache(maxsize=None)
+def _cell_instances(n: int, m: int) -> tuple:
+    """Per flat cell k, model's associativity instances that can read k,
+    in model's order: as cell (g, a, b) or (u, b, c), or as one of the n
+    cells each side's value may select.  An instance is listed under k
+    only when k is at or after both (g, a, b) and (u, b, c): a search
+    that fills cells in order has not filled the later of the two
+    before then.  Every failing instance is listed under the last of
+    its four cells, so checking each new cell's list finds it as soon
+    as all four are filled."""
+    buckets = [[] for _ in range(m * n * n)]
+    for inst in _associativity_instances(n, m):
+        _, ab, bc, lhs_base, rhs_base = inst
+        reads = {ab, bc, *range(lhs_base, lhs_base + n * n, n), *range(rhs_base, rhs_base + n)}
+        for k in reads:
+            if k >= max(ab, bc):
+                buckets[k].append(inst)
+    return tuple(map(tuple, buckets))
+
+
+def _relabeled_prefix_is_smaller(cells, pos, relabelings) -> bool:
+    """Whether some relabeling makes the filled cells 0..pos smaller.
+
+    Relabeled cell k is pi[cells[table_src[k]]]; the comparison runs
+    k = 0, 1, ... and stops undecided at the first k whose source is
+    not filled yet.  A decision there holds for every completion."""
+    for pi, table_src, _ in relabelings:
+        for k in range(pos + 1):
+            src = table_src[k]
+            if src > pos:
+                break
+            moved = pi[cells[src]]
+            if moved != cells[k]:
+                if moved < cells[k]:
+                    return True
+                break
+    return False
 
 
 def enumerate_tables_naive(spec: EnumSpec):
@@ -216,8 +271,9 @@ def canonical_key(s: PoGammaSemigroup) -> bytes:
 @lru_cache(maxsize=None)
 def _relabelings(n: int, m: int) -> tuple:
     """(pi, table_src, order_src) for every element map pi and letter map
-    sigma: the relabeled table has flat cell k = pi[cells[table_src[k]]]
-    and the relabeled order has flat entry k = leq[order_src[k]]."""
+    sigma, the identity first: the relabeled table has flat cell
+    k = pi[cells[table_src[k]]] and the relabeled order has flat entry
+    k = leq[order_src[k]]."""
     out = []
     for sigma in permutations(range(m)):
         for pi in permutations(range(n)):
@@ -235,17 +291,14 @@ def _relabelings(n: int, m: int) -> tuple:
 
 
 def _table_automorphisms(t: GammaTables):
-    """None when some relabeling gives the table a smaller encoding;
-    otherwise the distinct order maps (as order_src) of the non-identity
-    element maps among the relabelings that fix the table."""
+    """The distinct order maps (as order_src) of the non-identity element
+    maps among the relabelings that fix the table."""
     cells = tuple(v for table in t.op for row in table for v in row)
     identity = tuple(range(t.n))
     autos = []
     for pi, table_src, order_src in _relabelings(t.n, t.m):
-        moved = tuple(pi[cells[j]] for j in table_src)
-        if moved < cells:
-            return None
-        if moved == cells and pi != identity and order_src not in autos:
+        if (pi != identity and order_src not in autos
+                and tuple(pi[cells[j]] for j in table_src) == cells):
             autos.append(order_src)
     return autos
 
@@ -257,11 +310,7 @@ def _order_is_minimal(order: OrderRelation, autos) -> bool:
 
 def _table_structures(spec: EnumSpec, t: GammaTables):
     """The structures over table t that enumerate_structures keeps."""
-    autos = ()
-    if spec.canonical_only:
-        autos = _table_automorphisms(t)
-        if autos is None:
-            return
+    autos = _table_automorphisms(t) if spec.canonical_only else ()
     orders = enumerate_orders(t) if spec.require_order else (equality_order(t.n),)
     for o in orders:
         if not autos or _order_is_minimal(o, autos):
@@ -275,8 +324,9 @@ def enumerate_structures(spec: EnumSpec, prefix=()):
     Every yielded structure passes all three validators; with
     canonical_only, only structures equal to their own canonical form
     (structure_encoding(s) == canonical_key(s)) survive, one per
-    isomorphism class.  A table that is not minimal over its relabelings
-    is rejected before its orders are filtered.
+    isomorphism class.  Canonical generation lists only the tables that
+    are minimal over their relabelings, so no table is rejected after it
+    is found.
     """
     for t in enumerate_tables(spec, prefix):
         yield from _table_structures(spec, t)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import product
 
 
 class StructuralError(ValueError):
@@ -127,17 +127,16 @@ def _check_table_shape(t: GammaTables) -> None:
             raise StructuralError(f"table {g} is not {t.n}x{t.n}")
 
 
-@lru_cache(maxsize=None)
-def _associativity_instances(n: int, m: int) -> tuple:
-    """(witness, ab, bc, lhs_base, rhs_base) per instance (a g b) u c =
-    a g (b u c), in validate_gamma_tables' order.  The witness is
-    (a, b, c, g, u); ab and bc are the flat indices (g*n + a)*n + b of
-    cells (g, a, b) and (u, b, c), and with p and q their values the two
-    sides are the cells at lhs_base + p*n and rhs_base + q."""
-    return tuple(
-        ((a, b, c, g, u), (g * n + a) * n + b, (u * n + b) * n + c, u * n * n + c, (g * n + a) * n)
-        for a in range(n) for b in range(n) for c in range(n)
-        for g in range(m) for u in range(m))
+def _associativity_instances(n: int, m: int):
+    """Yield (witness, ab, bc, lhs_base, rhs_base) per instance
+    (a g b) u c = a g (b u c), in validate_gamma_tables' order.  The
+    witness is (a, b, c, g, u); ab and bc are the flat indices
+    (g*n + a)*n + b of cells (g, a, b) and (u, b, c), and with p and q
+    their values the two sides are the cells at lhs_base + p*n and
+    rhs_base + q.  Instances are made one at a time, so a full scan
+    holds one of them, not all n^3 m^2."""
+    for a, b, c, g, u in product(range(n), range(n), range(n), range(m), range(m)):
+        yield (a, b, c, g, u), (g * n + a) * n + b, (u * n + b) * n + c, u * n * n + c, (g * n + a) * n
 
 
 def _associativity_failures(cells, instances, n: int):

@@ -188,6 +188,7 @@ MACHINE_SHA256 = {
 SWEEP_SHA256 = {
     "--n 3 --m 2": "444f4826980b5355b4589d84b886975c8c6044e6fc04f2b05137e772b9beef7d",
     "--n 3 --m 2 --canonical": "3e878331cf2f24cb45c9b454db243329050704b4ab6a1c28f4a16a3dbb9456cb",
+    "--n 3 --m 3 --canonical": "e483e7c1bfcfa15f259ca64633f61244b7db8c18ca3742321652a61c6e9e25ac",
 }
 
 

@@ -3,6 +3,7 @@
 import hashlib
 from collections import Counter
 from itertools import permutations, product, starmap
+from math import factorial
 
 import pytest
 
@@ -17,6 +18,7 @@ from conftest import (
 )
 from pogamma import cli, enumeration, setcalc, theorems
 from pogamma.enumeration import (
+    MAX_CANONICAL_CELLS,
     MAX_TABLE_CELLS,
     SWEEP_EXAMPLE_CAP,
     EnumSpec,
@@ -59,8 +61,10 @@ def test_table_counts_frozen():
 def test_pruned_generation_equals_naive_generation():
     for spec in (EnumSpec(1, 1, canonical_only=False),
                  EnumSpec(1, 2, canonical_only=False),
+                 EnumSpec(1, 3, canonical_only=False),
                  LABELED_SPEC_2_1,
                  LABELED_SPEC_2_2,
+                 EnumSpec(2, 3, canonical_only=False),
                  EnumSpec(3, 1, canonical_only=False)):
         assert list(enumerate_tables(spec)) == list(enumerate_tables_naive(spec))
 
@@ -73,10 +77,19 @@ def test_naive_guard_refuses_large_spaces():
 def test_spec_guard():
     EnumSpec(3, 2).validate()
     EnumSpec(4, 1).validate()
-    for n, m in ((4, 2), (5, 1), (0, 1), (1, 0)):
+    EnumSpec(3, 2, canonical_only=False).validate()
+    EnumSpec(4, 1, canonical_only=False).validate()
+    # canonical search lists one table per class, so it gets the larger guard
+    EnumSpec(5, 1).validate()
+    EnumSpec(3, 3).validate()
+    for n, m in ((4, 2), (0, 1), (1, 0)):
         with pytest.raises(ValueError):
             EnumSpec(n, m).validate()
+    for n, m in ((5, 1), (3, 3)):
+        with pytest.raises(ValueError):
+            EnumSpec(n, m, canonical_only=False).validate()
     assert MAX_TABLE_CELLS == 18
+    assert MAX_CANONICAL_CELLS == 27
 
 
 def test_every_generated_table_is_associative():
@@ -87,7 +100,8 @@ def test_every_generated_table_is_associative():
 
 
 def test_prefix_partition_reassembles_the_stream():
-    for spec in (LABELED_SPEC_2_1, LABELED_SPEC_2_2):
+    for spec in (LABELED_SPEC_2_1, LABELED_SPEC_2_2,
+                 EnumSpec(2, 2), EnumSpec(2, 3), EnumSpec(3, 2), EnumSpec(4, 1)):
         full = list(enumerate_tables(spec))
         by_first = [t for v in range(spec.n) for t in enumerate_tables(spec, prefix=(v,))]
         assert by_first == full
@@ -95,6 +109,41 @@ def test_prefix_partition_reassembles_the_stream():
     by_pair = [t for v in product(range(2), repeat=2)
                for t in enumerate_tables(LABELED_SPEC_2_1, prefix=v)]
     assert by_pair == full
+
+
+def test_full_length_prefix_yields_its_table_when_kept():
+    # the constant-1 table is associative, but swapping 0 and 1 makes it smaller
+    ones = (1, 1, 1, 1)
+    assert [t.op for t in enumerate_tables(LABELED_SPEC_2_1, prefix=ones)] == [(((1, 1), (1, 1)),)]
+    assert list(enumerate_tables(EnumSpec(2, 1), prefix=ones)) == []
+    zeros = (0, 0, 0, 0)
+    for spec in (LABELED_SPEC_2_1, EnumSpec(2, 1)):
+        assert [t.op for t in enumerate_tables(spec, prefix=zeros)] == [(((0, 0), (0, 0)),)]
+    # a b = 1 - a is not associative: (0 0) 0 = 0 but 0 (0 0) = 1
+    assert list(enumerate_tables(LABELED_SPEC_2_1, prefix=(1, 1, 0, 0))) == []
+    kept = [u for t in table_pool(3, 1)
+            for u in enumerate_tables(EnumSpec(3, 1), prefix=_cells(t))]
+    assert kept == list(enumerate_tables(EnumSpec(3, 1)))
+
+
+def _cells(t):
+    return tuple(v for table in t.op for row in table for v in row)
+
+
+@pytest.mark.parametrize("n,m,labeled", [(3, 1, 113), (3, 2, 413), (2, 3, 26),
+                                         (4, 1, 3492), (3, 3, 1397)])
+def test_labeled_table_count_is_the_orbit_sum_of_canonical_tables(n, m, labeled):
+    # orbit-stabilizer over S_n x S_m, each stabilizer counted directly
+    group = enumeration._relabelings(n, m)
+    assert len(group) == factorial(n) * factorial(m)
+    orbit_sum = 0
+    for t in enumerate_tables(EnumSpec(n, m)):
+        cells = _cells(t)
+        stabilizer = sum(tuple(pi[cells[j]] for j in src) == cells for pi, src, _ in group)
+        orbit_sum += len(group) // stabilizer
+    assert orbit_sum == labeled
+    if n * n * m <= MAX_TABLE_CELLS:
+        assert len(table_pool(n, m)) == labeled
 
 
 def test_prefix_validation():
@@ -280,11 +329,15 @@ def test_sweep_theorem_subset_and_unknown_id():
         sweep(EnumSpec(2, 1), theorem_ids=("prop4", "conjecture1"))
 
 
-@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
 def test_canonical_generation_equals_the_brute_filter(n, m):
     brute = [s for s in structure_pool(n, m, canonical=False)
              if structure_encoding(s) == canonical_key(s)]
     assert list(enumerate_structures(EnumSpec(n, m))) == brute
+    # every relabeling fixes the discrete order, so these are the minimal tables
+    discrete = [PoGammaSemigroup(tables=t, order=equality_order(n)) for t in table_pool(n, m)]
+    brute_tables = [s.tables for s in discrete if structure_encoding(s) == canonical_key(s)]
+    assert list(enumerate_tables(EnumSpec(n, m))) == brute_tables
 
 
 def test_canonical_generation_never_calls_the_brute_key(monkeypatch):

@@ -1,6 +1,7 @@
 """Axiom validators against hand-built structures and brute-force scans."""
 
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -82,6 +83,19 @@ def test_associativity_witnesses_reevaluate():
         for kind, (a, b, c, g, u) in validate_gamma_tables(t).failures:
             assert kind == "gamma-associativity"
             assert t.op[u][t.op[g][a][b]][c] != t.op[g][a][t.op[u][b][c]]
+
+
+def test_associativity_scan_memory_does_not_grow_with_the_instance_count():
+    # 216,000 instances, all of them holding; held at once they take about 50 MB
+    n = 60
+    zero = GammaTables(n=n, m=1, op=(((0,) * n,) * n,))
+    tracemalloc.start()
+    try:
+        assert validate_gamma_tables(zero).ok
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_entry_range_failures_suppress_associativity_scan():
