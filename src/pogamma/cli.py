@@ -62,11 +62,12 @@ def _analysis_payload(s, name) -> dict:
             w = setcalc.regularity(s, a, kind)
             row[kind.replace("-", "_")] = None if w is None else list(w.data)
         elements.append(row)
-    t = setcalc._masks(s)
-    bi_ideals = [{"members": setcalc._members(b), "semiprime": t.semiprime_failure(b) is None}
-                 for b in t.bi_ideals]
+    o = setcalc._facts(s)
+    semiprime_failure = o.table.semiprime_failure
+    bi_ideals = [{"members": setcalc._members(b), "semiprime": semiprime_failure(b) is None}
+                 for b in o.bi_ideals]
     generated = [{"element": a, "bi_ideal": setcalc._members(b)}
-                 for a, b in enumerate(t.principal)]
+                 for a, b in enumerate(o.principal)]
     payload = {}
     if name is not None:
         payload["name"] = name

@@ -6,27 +6,40 @@ A, g any letter, y in B} and (A] for the downward closure of A, so for
 example (A u AMA] is the closure of A united with the three-factor
 product through the whole universe M.
 
-Each structure also gets one set of bitmask tables, _Masks (element i
-is bit i), built once per structure in the fact memo.  classify, the
-checkers and the CLI's analyze read every subset fact from them:
-bi-ideals, B(a), semiprimeness, the product property.  The frozenset
-functions (downward_closure, set_product, is_bi_ideal,
+classify, the checkers and the CLI's analyze read every fact from
+bitmask tables (element i is bit i) kept in two tiers.  The table tier,
+_TableFacts, holds what the products alone decide: x g y over every
+letter, the products xB and AM, the fixed products the checkers read,
+and for each element and regularity kind a witness list.  Each
+regularity notion is an inequality a <= rhs with rhs a product, so the
+list holds the candidates of the scan, in scan order, that bring a new
+value of rhs, with the union mask of the values scanned so far; a list
+grows only as far as a query needs.  The order tier, _OrderFacts, holds
+what the order decides: the up-set mask of each element, closures,
+bi-ideals, B(a) and the product property.  A witness exists when the
+union mask meets the up-set of a, and the first witness is the first
+listed candidate inside it.  Every structure over one table object
+shares its table tier, so a sweep builds it once per table.
+
+The frozenset functions (downward_closure, set_product, is_bi_ideal,
 semiprime_failure, ...) stay as the definitions, and the tests hold the
-tables against them.  The tables take 2^n entries per element, so past
-MAX_TABLE_ELEMENTS elements building them raises StructureTooLarge.
+tables against them.  The subset tables take 2^n entries, so past
+MAX_TABLE_ELEMENTS elements building them raises StructureTooLarge; the
+witness lists and up-sets need none of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
-from .model import PoGammaSemigroup
+from .model import GammaTables, PoGammaSemigroup
 
 
-def _regular(op, leq, a, x, g, u):
-    """a <= (a g x) u a"""
-    return leq[a][op[u][op[g][a][x]][a]]
+def _regular_rhs(op, a, x, g, u):
+    """(a g x) u a"""
+    return op[u][op[g][a][x]][a]
 
 
 def _commute(op, a, x, g, u):
@@ -35,18 +48,18 @@ def _commute(op, a, x, g, u):
     return ax == op[g][x][a] == op[u][x][a] == op[u][a][x]
 
 
-# kind -> (letter slots, predicate(op, leq, a, element, *letters)): the
-# one definition of each regularity inequality; regularity() lists them
-# in the notation of the paper.  The strong predicate tests the equalities
-# first because they fail far more often than the inequality.
+# kind -> (letter slots, rhs(op, a, element, *letters), side condition or
+# None): the kind holds for a at the data that meet the side condition and
+# give a <= rhs.  The one definition of each regularity inequality;
+# regularity() lists them in the notation of the paper.  The side condition
+# is tested first because it fails far more often than the inequality.
 _INEQUALITIES = {
-    "regular": (2, _regular),
-    "left-regular": (2, lambda op, leq, a, z, g, u: leq[a][op[u][op[g][z][a]][a]]),
-    "right-regular": (2, lambda op, leq, a, y, g, u: leq[a][op[u][op[g][a][a]][y]]),
-    "completely-regular": (4, lambda op, leq, a, x, g1, g2, g3, g4:
-                           leq[a][op[g3][op[g2][op[g1][a][a]][x]][op[g4][a][a]]]),
-    "strongly-regular": (2, lambda op, leq, a, x, g, u:
-                         _commute(op, a, x, g, u) and _regular(op, leq, a, x, g, u)),
+    "regular": (2, _regular_rhs, None),
+    "left-regular": (2, lambda op, a, z, g, u: op[u][op[g][z][a]][a], None),
+    "right-regular": (2, lambda op, a, y, g, u: op[u][op[g][a][a]][y], None),
+    "completely-regular": (4, lambda op, a, x, g1, g2, g3, g4:
+                           op[g3][op[g2][op[g1][a][a]][x]][op[g4][a][a]], None),
+    "strongly-regular": (2, _regular_rhs, _commute),
 }
 REGULARITY_KINDS = tuple(_INEQUALITIES)
 
@@ -117,18 +130,6 @@ def bi_ideal_generated_fixpoint(s: PoGammaSemigroup, a) -> frozenset:
         cur = nxt
 
 
-_last = (None, {})   # the structure last asked about, and its facts
-
-
-def _facts(s: PoGammaSemigroup) -> dict:
-    """Facts about s, found by identity (never by hashing its nested tuples) until another
-    structure is asked about: (element, kind) witnesses and "masks"."""
-    global _last
-    if _last[0] is not s:
-        _last = (s, {})
-    return _last[1]
-
-
 def _union_table(size: int, per_bit) -> list:
     """t[A] for every mask A < size: the union of per_bit[i] over the bits i of A,
     each entry the entry without A's lowest bit plus that bit's own."""
@@ -137,6 +138,18 @@ def _union_table(size: int, per_bit) -> list:
         low = a & -a
         t[a] = t[a ^ low] | per_bit[low.bit_length() - 1]
     return t
+
+
+def _bit_masks(rows) -> list:
+    """The mask of the true entries of each row."""
+    masks = []
+    for row in rows:
+        mask = 0
+        for v, bit in enumerate(row):
+            if bit:
+                mask |= 1 << v
+        masks.append(mask)
+    return masks
 
 
 def _members(mask: int) -> list:
@@ -151,36 +164,121 @@ class StructureTooLarge(ValueError):
     """The structure has too many elements for the bitmask tables."""
 
 
-class _Masks:
-    """Bitmask tables of one structure, element i as bit i: clo[A] is (A],
-    am[A] is AM, left[x][B] is xB and pe[x][y] is x g y over every letter g;
-    bi_ideals lists every bi-ideal B, ascending (B = (B] and BMB inside B),
-    principal[a] is B(a) and product_failure the first B with (BB] != B."""
+def _subset_table_size(n: int) -> int:
+    """2^n, the entries of one subset table; past the limit, StructureTooLarge."""
+    if n > MAX_TABLE_ELEMENTS:
+        raise StructureTooLarge(
+            f"n = {n} is past the {MAX_TABLE_ELEMENTS}-element limit of the subset "
+            f"tables, which take 2^n entries per element")
+    return 1 << n
 
-    __slots__ = ("full", "clo", "am", "left", "pe", "bi_ideals", "principal", "product_failure")
 
-    def __init__(self, s: PoGammaSemigroup):
-        n, op, leq = s.n, s.tables.op, s.order.leq
-        if n > MAX_TABLE_ELEMENTS:
-            raise StructureTooLarge(
-                f"n = {n} is past the {MAX_TABLE_ELEMENTS}-element limit of the subset "
-                f"tables, which take 2^n entries per element")
-        size = 1 << n
-        self.full = size - 1
-        down = [sum(1 << t for t in range(n) if leq[t][u]) for u in range(n)]
-        self.clo = _union_table(size, down)
+class _Witnesses:
+    """The candidates for one regularity kind at one element a, listed
+    lazily in the scan order of regularity().
+
+    Candidates that fail the kind's side condition are skipped.  union is
+    the mask of the rhs values scanned so far and reach[x] that of the
+    ones with element x; entries keeps (data, rhs) for each candidate
+    whose rhs was not in union before it.  A candidate left out repeats
+    the rhs of an earlier entry, so the first candidate whose rhs lies in
+    a mask is always an entry."""
+
+    __slots__ = ("entries", "union", "reach", "_scan", "_op", "_a", "_kind")
+
+    def __init__(self, op, n: int, m: int, a: int, kind: str):
+        self.entries, self.union, self.reach = [], 0, [0] * n
+        self._scan = product(range(n), *[range(m)] * _INEQUALITIES[kind][0])
+        self._op, self._a, self._kind = op, a, kind
+
+    def _grow(self, up: int, pool: int):
+        """Scan on to the next candidate with its element in pool and its
+        rhs in up, and return its data; at the end of the scan, None, and
+        the scan is dropped."""
+        _, rhs, side = _INEQUALITIES[self._kind]
+        op, a = self._op, self._a
+        for data in self._scan:
+            if side is not None and not side(op, a, *data):
+                continue
+            v = rhs(op, a, *data)
+            bit = 1 << v
+            self.reach[data[0]] |= bit
+            if not self.union & bit:
+                self.union |= bit
+                self.entries.append((data, v))
+            if bit & up and pool >> data[0] & 1:
+                return data
+        self._scan = None
+        return None
+
+    def first(self, up: int):
+        """Data of the first candidate whose rhs lies in up, or None."""
+        if self.union & up:
+            return next(data for data, v in self.entries if up >> v & 1)
+        return None if self._scan is None else self._grow(up, -1)
+
+    def exists(self, up: int, pool: int = -1) -> bool:
+        """Whether some candidate with its element in pool has its rhs in up;
+        the pool is a mask, and -1, every bit set, takes every element."""
+        if pool == -1:
+            reach = self.union
+        else:
+            reach = 0
+            for x, r in enumerate(self.reach):
+                if pool >> x & 1:
+                    reach |= r
+        return bool(reach & up) or (self._scan is not None and self._grow(up, pool) is not None)
+
+
+class _TableFacts:
+    """The table tier: what the products alone decide, element i as bit i.
+
+    pe[x][y] is x g y over every letter g; left[x][B] is xB and am[A] is
+    AM; xMy[x][y], Ma[a], MaM[a] and aaMaa[a] are the fixed products of
+    prop2, thm9 and prop5; witnesses(a, kind) is a's witness list.  The
+    subset tables and products are built on first use."""
+
+    def __init__(self, tables: GammaTables):
+        n, op = tables.n, tables.op
+        self.n, self.m, self.op = n, tables.m, op
+        self.full = (1 << n) - 1
         self.pe = [[0] * n for _ in range(n)]
         for table in op:
             for x, row in enumerate(table):
                 for y, z in enumerate(row):
                     self.pe[x][y] |= 1 << z
-        self.left = [_union_table(size, row) for row in self.pe]
-        self.am = _union_table(size, [row[self.full] for row in self.left])
-        self.bi_ideals = tuple(b for b in range(1, size)
-                               if self.clo[b] == b and not self.mul(self.am[b], b) & ~b)
-        self.principal = tuple(self.generated(1 << a) for a in range(n))
-        self.product_failure = next(
-            (b for b in self.bi_ideals if self.clo[self.mul(b, b)] != b), None)
+        self._witnesses = {}
+
+    def witnesses(self, a: int, kind: str) -> _Witnesses:
+        w = self._witnesses.get((a, kind))
+        if w is None:
+            w = self._witnesses[a, kind] = _Witnesses(self.op, self.n, self.m, a, kind)
+        return w
+
+    @cached_property
+    def left(self) -> list:
+        size = _subset_table_size(self.n)
+        return [_union_table(size, row) for row in self.pe]
+
+    @cached_property
+    def am(self) -> list:
+        return _union_table(1 << self.n, [row[self.full] for row in self.left])
+
+    @cached_property
+    def xMy(self) -> list:
+        return [[self.mul(self.am[1 << x], 1 << y) for y in range(self.n)] for x in range(self.n)]
+
+    @cached_property
+    def Ma(self) -> list:
+        return [self.mul(self.full, 1 << a) for a in range(self.n)]
+
+    @cached_property
+    def MaM(self) -> list:
+        return [self.am[ma] for ma in self.Ma]
+
+    @cached_property
+    def aaMaa(self) -> list:
+        return [self.mul(self.mul(self.am[self.pe[a][a]], 1 << a), 1 << a) for a in range(self.n)]
 
     def mul(self, a: int, b: int) -> int:
         """AB"""
@@ -190,32 +288,78 @@ class _Masks:
                 out |= row[b]
         return out
 
-    def generated(self, a: int) -> int:
-        """(A u AMA], the bi-ideal generated by a nonempty A"""
-        return self.clo[a | self.mul(self.am[a], a)]
-
     def semiprime_failure(self, b: int):
         """Least a outside B with aa inside B, or None when B is semiprime."""
         return next((a for a, row in enumerate(self.pe) if not (b >> a & 1 or row[a] & ~b)), None)
 
 
-def _masks(s: PoGammaSemigroup) -> _Masks:
-    """The bitmask tables of s, built on first request."""
-    facts = _facts(s)
-    if "masks" not in facts:
-        facts["masks"] = _Masks(s)
-    return facts["masks"]
+class _OrderFacts:
+    """The order tier of one structure over its table tier, table: up[a] is
+    the mask of the v with a <= v, clo[A] is (A], bi_ideals lists every
+    bi-ideal B, ascending (B = (B] and BMB inside B), principal[a] is B(a)
+    and product_failure the first B with (BB] != B.  least caches
+    _least_without per tuple of kinds."""
+
+    def __init__(self, s: PoGammaSemigroup, table: _TableFacts):
+        self.table = table
+        self.leq = s.order.leq
+        self.up = _bit_masks(self.leq)
+        self.least = {}
+
+    @cached_property
+    def clo(self) -> list:
+        return _union_table(_subset_table_size(self.table.n), _bit_masks(zip(*self.leq)))
+
+    @cached_property
+    def bi_ideals(self) -> tuple:
+        clo, am, mul = self.clo, self.table.am, self.table.mul
+        return tuple(b for b in range(1, len(clo)) if clo[b] == b and not mul(am[b], b) & ~b)
+
+    @cached_property
+    def principal(self) -> tuple:
+        return tuple(self.generated(1 << a) for a in range(self.table.n))
+
+    @cached_property
+    def product_failure(self):
+        clo, mul = self.clo, self.table.mul
+        return next((b for b in self.bi_ideals if clo[mul(b, b)] != b), None)
+
+    def generated(self, a: int) -> int:
+        """(A u AMA], the bi-ideal generated by a nonempty A"""
+        return self.clo[a | self.table.mul(self.table.am[a], a)]
+
+
+_last_table = (None, None)   # the tables last asked about, and their facts
+_last_order = (None, None)   # the structure last asked about, and its order facts
+
+
+def _table_facts(tables: GammaTables) -> _TableFacts:
+    """The table tier of a tables object, found by identity (never by hashing
+    its nested tuples) until another tables object is asked about."""
+    global _last_table
+    if _last_table[0] is not tables:
+        _last_table = (tables, _TableFacts(tables))
+    return _last_table[1]
+
+
+def _facts(s: PoGammaSemigroup) -> _OrderFacts:
+    """The order tier of s, over its table tier; found by identity like
+    _table_facts, and built afresh when another structure is asked about."""
+    global _last_order
+    if _last_order[0] is not s:
+        _last_order = (s, _OrderFacts(s, _table_facts(s.tables)))
+    return _last_order[1]
 
 
 def all_bi_ideals(s: PoGammaSemigroup) -> list:
     """Every bi-ideal, ascending by bit pattern (element i is bit i)."""
-    return [frozenset(_members(b)) for b in _masks(s).bi_ideals]
+    return [frozenset(_members(b)) for b in _facts(s).bi_ideals]
 
 
 def product_failure(s: PoGammaSemigroup):
     """First bi-ideal B with (BB] != B, or None: the one definition of
     the bi-ideal product property, scanned once per structure."""
-    bad = _masks(s).product_failure
+    bad = _facts(s).product_failure
     return None if bad is None else frozenset(_members(bad))
 
 
@@ -251,28 +395,19 @@ def witness_holds(s: PoGammaSemigroup, w: RegularityWitness) -> bool:
     """Re-evaluate the defining inequality of a witness."""
     if w.kind not in _INEQUALITIES:
         raise ValueError(f"unknown witness kind {w.kind!r}")
-    letters, holds = _INEQUALITIES[w.kind]
+    letters, rhs, side = _INEQUALITIES[w.kind]
     if len(w.data) != 1 + letters:
         raise ValueError(f"{w.kind} witness data needs {1 + letters} entries, got {len(w.data)}")
-    return holds(s.tables.op, s.order.leq, w.element, *w.data)
-
-
-def _first_hit(s: PoGammaSemigroup, a: int, kind: str, pool):
-    """First data tuple, element from pool, that witnesses kind for a."""
-    letters, holds = _INEQUALITIES[kind]
-    op, leq = s.tables.op, s.order.leq
-    for data in product(pool, *[range(s.m)] * letters):
-        if holds(op, leq, a, *data):
-            return data
-    return None
+    op, a = s.tables.op, w.element
+    return (side is None or side(op, a, *w.data)) and s.order.leq[a][rhs(op, a, *w.data)]
 
 
 def regularity(s: PoGammaSemigroup, a: int, kind: str):
     """First witness of the given kind for a, or None.
 
     The scan runs the element slot ascending, then each letter slot, and
-    returns the first hit, so results are deterministic; each (a, kind)
-    is scanned once per structure.  data layouts:
+    returns the first hit, so results are deterministic; the candidates
+    of each (a, kind) are scanned at most once per table.  data layouts:
 
       regular             (x, g, u)           a <= (a g x) u a
       left-regular        (z, g, u)           a <= (z g a) u a
@@ -283,20 +418,19 @@ def regularity(s: PoGammaSemigroup, a: int, kind: str):
     """
     if kind not in _INEQUALITIES:
         raise ValueError(f"unknown regularity kind {kind!r}, expected one of {REGULARITY_KINDS}")
-    facts = _facts(s)
-    if (a, kind) not in facts:
-        data = _first_hit(s, a, kind, range(s.n))
-        facts[a, kind] = None if data is None else RegularityWitness(kind, a, data)
-    return facts[a, kind]
+    o = _facts(s)
+    data = o.table.witnesses(a, kind).first(o.up[a])
+    return None if data is None else RegularityWitness(kind, a, data)
 
 
 def _least_without(s: PoGammaSemigroup, *kinds):
     """Least element lacking a witness of any of the kinds, or None."""
-    for a in range(s.n):
-        for kind in kinds:
-            if regularity(s, a, kind) is None:
-                return a
-    return None
+    o = _facts(s)
+    if kinds not in o.least:
+        t = o.table
+        o.least[kinds] = next((a for a, up in enumerate(o.up) for kind in kinds
+                               if not t.witnesses(a, kind).exists(up)), None)
+    return o.least[kinds]
 
 
 def is_completely_regular(s: PoGammaSemigroup):
@@ -335,8 +469,9 @@ def compose_cr_witness(s: PoGammaSemigroup, a: int, reg: RegularityWitness,
 
 def _strongly_regular_within(s: PoGammaSemigroup, mask: int) -> bool:
     """Strong regularity relativized to a subsemigroup given as a mask."""
-    pool = _members(mask)
-    return all(_first_hit(s, b, "strongly-regular", pool) is not None for b in pool)
+    o = _facts(s)
+    return all(o.table.witnesses(b, "strongly-regular").exists(o.up[b], mask)
+               for b in _members(mask))
 
 
 def is_strongly_regular_subset(s: PoGammaSemigroup, t) -> bool:
@@ -349,4 +484,6 @@ def is_strongly_regular_subset(s: PoGammaSemigroup, t) -> bool:
     if not is_subsemigroup(s, t):
         raise ValueError("expected a subsemigroup")
     pool = sorted(t)
-    return all(_first_hit(s, b, "strongly-regular", pool) is not None for b in pool)
+    return all(any(witness_holds(s, RegularityWitness("strongly-regular", b, data))
+                   for data in product(pool, range(s.m), range(s.m)))
+               for b in pool)

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import PoGammaSemigroup
-from .setcalc import is_completely_regular, is_strongly_regular, product_failure, regularity
-from .setcalc import RegularityWitness, _commute, _least_without, _masks, _members, _regular
+from .setcalc import is_completely_regular, is_strongly_regular, product_failure
+from .setcalc import RegularityWitness, _commute, _facts, _least_without, _members, _regular_rhs
 from .setcalc import _strongly_regular_within, witness_holds
 
 # the synthetic report `check --force-violation` appends to exercise exit code 1
@@ -48,12 +48,12 @@ def _violated(tid: str, witness: dict, detail: str) -> CheckReport:
 
 def check_prop2(s: PoGammaSemigroup) -> CheckReport:
     """B(x) M B(y) <= (x M y] for all elements x, y."""
-    t = _masks(s)
+    o = _facts(s)
+    t = o.table
     for x in range(s.n):
+        bx_m = t.am[o.principal[x]]
         for y in range(s.n):
-            lhs = t.mul(t.am[t.principal[x]], t.principal[y])
-            rhs = t.clo[t.mul(t.am[1 << x], 1 << y)]
-            extra = lhs & ~rhs
+            extra = t.mul(bx_m, o.principal[y]) & ~o.clo[t.xMy[x][y]]
             if extra:
                 e = _members(extra)[0]
                 return _violated("prop2", {"x": x, "y": y, "element": e},
@@ -81,9 +81,9 @@ def check_prop4(s: PoGammaSemigroup) -> CheckReport:
     """Complete regularity holds exactly when every bi-ideal is semiprime."""
     cr_fail = is_completely_regular(s)
     cr = cr_fail is None
-    t = _masks(s)
+    o = _facts(s)
     # the first bi-ideal that is not semiprime, with its least failure
-    failures = ((b, t.semiprime_failure(b)) for b in t.bi_ideals)
+    failures = ((b, o.table.semiprime_failure(b)) for b in o.bi_ideals)
     bad = next(((b, a) for b, a in failures if a is not None), None)
     all_semiprime = bad is None
     if cr != all_semiprime:
@@ -102,15 +102,15 @@ def check_prop4(s: PoGammaSemigroup) -> CheckReport:
 def check_prop5(s: PoGammaSemigroup) -> CheckReport:
     """Complete regularity, B(a) = B(aa) = B(aaMaa) for all a, and
     B(a) = B(aa) for all a hold or fail together."""
-    t = _masks(s)
+    o = _facts(s)
+    t = o.table
     cr = is_completely_regular(s) is None
     chain_ok, chain_wit = True, None
     pair_ok, pair_wit = True, None
     for a in range(s.n):
-        single, aa = 1 << a, t.pe[a][a]
-        b_a = t.principal[a]
-        b_aa = t.generated(aa)
-        b_big = t.generated(t.mul(t.mul(t.am[aa], single), single))
+        b_a = o.principal[a]
+        b_aa = o.generated(t.pe[a][a])
+        b_big = o.generated(t.aaMaa[a])
         if pair_ok and b_a != b_aa:
             pair_ok, pair_wit = False, a
         if chain_ok and not (b_a == b_aa == b_big):
@@ -178,13 +178,14 @@ def check_thm8(s: PoGammaSemigroup) -> CheckReport:
     a g y = y g a = y u a = a u y."""
     if is_strongly_regular(s) is not None:
         return _passed("thm8", "vacuous: not strongly regular")
+    o = _facts(s)
     op, leq = s.tables.op, s.order.leq
     for a in range(s.n):
-        x, g, u = regularity(s, a, "strongly-regular").data
+        x, g, u = o.table.witnesses(a, "strongly-regular").first(o.up[a])
         y, _, _ = thm8_witness(s, a, x, g, u)
         # a <= (a g y) u a and y <= (y u a) g y are plain regularity
-        a_ok = _regular(op, leq, a, y, g, u)
-        y_ok = _regular(op, leq, y, a, u, g)
+        a_ok = leq[a][_regular_rhs(op, a, y, g, u)]
+        y_ok = leq[y][_regular_rhs(op, y, a, u, g)]
         four_ok = _commute(op, a, y, g, u)
         if not (a_ok and y_ok and four_ok):
             return _violated("thm8",
@@ -203,19 +204,21 @@ def check_thm9(s: PoGammaSemigroup) -> CheckReport:
     The subsemigroup property of (M a M] is itself part of the claim, so
     a failure there is reported as a violation outright.
     """
-    t = _masks(s)
+    o = _facts(s)
+    t = o.table
     b1 = is_strongly_regular(s) is None
-    sub_ok = True
+    sub_ok, tested = True, set()
     for a in range(s.n):
-        span = t.clo[t.am[t.mul(t.full, 1 << a)]]
+        span = o.clo[t.MaM[a]]
         if t.mul(span, span) & ~span:
             return _violated("thm9", {"a": a, "subset": _members(span)},
                              f"(M {a} M] is not a subsemigroup")
-        if not _strongly_regular_within(s, span):
-            sub_ok = False
+        if sub_ok and span not in tested:
+            tested.add(span)
+            sub_ok = _strongly_regular_within(s, span)
     one_sided = _least_without(s, "left-regular", "right-regular") is None
     b2 = one_sided and sub_ok
-    sided_ok = all(t.clo[t.mul(t.full, 1 << a)] & t.clo[t.am[1 << a]] & 1 << a for a in range(s.n))
+    sided_ok = all(o.clo[t.Ma[a]] & o.clo[t.am[1 << a]] & 1 << a for a in range(s.n))
     b3 = sided_ok and sub_ok
     if not (b1 == b2 == b3):
         return _violated("thm9",

@@ -37,6 +37,7 @@ from pogamma.enumeration import (
 )
 from pogamma.formats import load, serialize_report
 from pogamma.model import (
+    GammaTables,
     PoGammaSemigroup,
     equality_order,
     validate_compatibility,
@@ -411,13 +412,18 @@ def test_sweep_generates_the_table_stream_once(monkeypatch):
 
 
 def test_sweep_scans_each_witness_and_lists_bi_ideals_once_per_structure(monkeypatch, capsys):
-    # whole-universe witness scans and bitmask table builds per structure;
-    # thm9's scans over (M a M] pass a subset pool and are not counted.
-    # The bi-ideal listing, every checker and analyze read the tables, so
-    # the frozenset definitions (every one goes through set_product or
-    # downward_closure) are never called.
-    scans, builds, frozenset_calls = Counter(), Counter(), Counter()
-    first_hit = setcalc._first_hit
+    # fact tiers and witness lists, counted over a canonical sweep.  Every
+    # structure over one table shares one table tier, which makes each
+    # (element, kind) witness list once and scans each of its candidates
+    # at most once; each structure builds one order tier and grows a list
+    # over the whole universe at most once per (element, kind), so at most
+    # 5n times.  thm9's growth within (M a M] passes a subset pool and is
+    # not counted.  The bi-ideal listing, every checker and analyze read
+    # the tables, so the frozenset definitions (every one goes through
+    # set_product or downward_closure) are never called.
+    table_tiers, order_tiers, lists, scanned, grows = (Counter() for _ in range(5))
+    frozenset_calls = Counter()
+    current = [None]   # the structure classify was last called on
 
     def counted(name):
         definition = getattr(setcalc, name)
@@ -432,25 +438,57 @@ def test_sweep_scans_each_witness_and_lists_bi_ideals_once_per_structure(monkeyp
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name))
 
-    def counted_first_hit(s, a, kind, pool):
-        if pool == range(s.n):
-            scans[s] += 1
-        return first_hit(s, a, kind, pool)
+    def tracked_classify(s):
+        current[0] = s
+        return classify(s)
 
-    class CountedMasks(setcalc._Masks):
+    def counted_scan(scan, key):
+        for candidate in scan:
+            scanned[key] += 1
+            yield candidate
+
+    class CountedTables(setcalc._TableFacts):
+        def __init__(self, tables):
+            table_tiers[tables.op] += 1
+            super().__init__(tables)
+
+    class CountedOrders(setcalc._OrderFacts):
+        def __init__(self, s, table):
+            order_tiers[s] += 1
+            super().__init__(s, table)
+
+    class CountedWitnesses(setcalc._Witnesses):
         __slots__ = ()
 
-        def __init__(self, s):
-            builds[s] += 1
-            super().__init__(s)
+        def __init__(self, op, n, m, a, kind):
+            key = op, a, kind
+            lists[key] += 1
+            super().__init__(op, n, m, a, kind)
+            self._scan = counted_scan(self._scan, key)
 
-    monkeypatch.setattr(setcalc, "_first_hit", counted_first_hit)
-    monkeypatch.setattr(setcalc, "_Masks", CountedMasks)
-    assert sweep(EnumSpec(3, 1)).structures == 173
-    assert max(scans.values()) <= 5 * 3
-    # classify and all nine checkers share one set of tables per structure
-    assert len(builds) == 173
-    assert set(builds.values()) == {1}
+        def _grow(self, up, pool):
+            if pool == -1:
+                grows[current[0]] += 1
+            return super()._grow(up, pool)
+
+    monkeypatch.setattr(enumeration, "classify", tracked_classify)
+    monkeypatch.setattr(setcalc, "_TableFacts", CountedTables)
+    monkeypatch.setattr(setcalc, "_OrderFacts", CountedOrders)
+    monkeypatch.setattr(setcalc, "_Witnesses", CountedWitnesses)
+    spec = EnumSpec(3, 1)
+    assert sweep(spec).structures == 173
+    # one table tier per table, and one order tier per structure over it
+    assert sorted(table_tiers) == sorted(t.op for t in enumerate_tables(spec))
+    assert set(table_tiers.values()) == {1}
+    assert len(order_tiers) == 173
+    assert set(order_tiers.values()) == {1}
+    assert lists and set(lists.values()) == {1}
+    for (op, a, kind), count in scanned.items():
+        letters = setcalc._INEQUALITIES[kind][0]
+        assert count <= 3 * len(op) ** letters
+    # most structures find every answer in lists grown for an earlier order
+    assert 0 < len(grows) < 173 // 2
+    assert max(grows.values()) <= 5 * 3
     assert not frozenset_calls
     for path in sorted(FIXTURE_DIR.glob("*.json")):
         for command in ("analyze", "check"):
@@ -461,6 +499,61 @@ def test_sweep_scans_each_witness_and_lists_bi_ideals_once_per_structure(monkeyp
     # the counters see a frozenset definition when one is called
     setcalc.is_bi_ideal(make_min_chain(), {0})
     assert set(frozenset_calls) == {"set_product", "downward_closure"}
+
+
+CENSUS = ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1))
+
+
+def _reversed(t):
+    # every product read backwards: a g' b = b g a
+    return GammaTables(t.n, t.m, tuple(tuple(zip(*table)) for table in t.op))
+
+
+def _symmetric_facts(s):
+    # what reversal keeps, with left and right regularity swapped
+    return (classify(s), [r.status for r in theorems.run_all(s)],
+            [setcalc.regularity(s, a, "left-regular") is None for a in range(s.n)],
+            [setcalc.regularity(s, a, "right-regular") is None for a in range(s.n)])
+
+
+def test_reversal_keeps_classes_and_statuses_and_swaps_left_and_right():
+    # an oracle from symmetry: reading every product backwards gives
+    # another po-Gamma-semigroup with the same order and bi-ideals, so it
+    # keeps regularity, complete and strong regularity, the product
+    # property and every claim's status, and swaps left and right regularity
+    checked = 0
+    for n, m in CENSUS:
+        groups = {}
+        for s in structure_pool(n, m):
+            groups.setdefault(s.tables, []).append(s)
+        for tables, group in groups.items():
+            back = _reversed(tables)
+            assert validate_gamma_tables(back).ok
+            facts = [_symmetric_facts(s) for s in group]
+            for s, (flags, statuses, left, right) in zip(group, facts):
+                r = PoGammaSemigroup(back, s.order)
+                assert validate_compatibility(r).ok
+                assert _symmetric_facts(r) == (flags, statuses, right, left)
+                checked += 1
+    assert checked == 5977
+
+
+def _automorphisms(s):
+    cells = tuple(v for table in s.tables.op for row in table for v in row)
+    flat = tuple(v for row in s.order.leq for v in row)
+    return sum(tuple(pi[cells[j]] for j in table_src) == cells
+               and tuple(flat[j] for j in order_src) == flat
+               for pi, table_src, order_src in enumeration._relabelings(s.n, s.m))
+
+
+@pytest.mark.parametrize("n,m,labeled", [(3, 1, 971), (3, 2, 3203), (4, 1, 107688)])
+def test_labeled_structure_count_is_the_orbit_sum_of_canonical_structures(n, m, labeled):
+    # orbit-stabilizer over S_n x S_m: ties the canonical order filter to
+    # the labeled stream, whose counts the labeled sweeps report
+    group = factorial(n) * factorial(m)
+    assert sum(group // _automorphisms(s) for s in structure_pool(n, m)) == labeled
+    if (n, m) == (3, 1):
+        assert len(structure_pool(n, m, canonical=False)) == labeled
 
 
 def test_sweep_runs_a_short_table_stream_in_process(monkeypatch):

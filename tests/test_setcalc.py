@@ -19,6 +19,7 @@ from conftest import (
 )
 from pogamma import setcalc
 from pogamma.enumeration import random_structures
+from pogamma.model import GammaTables, PoGammaSemigroup, structure_from_rows
 from pogamma.setcalc import (
     REGULARITY_KINDS,
     RegularityWitness,
@@ -151,31 +152,44 @@ def test_mask_tables_equal_the_frozenset_definitions():
                   + tuple(random_structures(4, 1, 40, seed=8))
                   + tuple(axiom_breaking_structures()))
     for s in structures:
-        t = setcalc._masks(s)
+        _assert_order_tier_matches(s)
+        t = setcalc._facts(s).table
         subsets = list(all_subsets(s.n))   # subsets[A] has the bits of A
         for a, sa in enumerate(subsets):
-            assert t.clo[a] == _mask(downward_closure(s, sa))
             assert t.am[a] == _mask(set_product(s, sa, s.universe))
             assert t.mul(t.am[a], a) == _mask(word_product(s, [sa, s.universe, sa]))
             for b, sb in enumerate(subsets):
                 assert t.mul(a, b) == _mask(set_product(s, sa, sb))
+        u = s.universe
         for x in range(s.n):
             assert t.pe[x] == [_mask(set_product(s, {x}, {y})) for y in range(s.n)]
-        nonempty = subsets[1:]
-        bi_ideals = [b for b in nonempty if is_bi_ideal(s, b)]
-        assert t.bi_ideals == tuple(_mask(b) for b in bi_ideals)
-        assert all_bi_ideals(s) == bi_ideals
-        assert product_failure(s) == next(
-            (b for b in bi_ideals if downward_closure(s, set_product(s, b, b)) != b), None)
-        assert [t.generated(a) for a in range(1, 1 << s.n)] == \
-            [_mask(bi_ideal_generated_formula(s, sa)) for sa in nonempty]
-        assert t.principal == tuple(_mask(bi_ideal_generated_formula(s, {a}))
-                                    for a in range(s.n))
-        for a, sa in enumerate(nonempty, start=1):
+            assert t.xMy[x] == [_mask(word_product(s, [{x}, u, {y}])) for y in range(s.n)]
+            assert t.Ma[x] == _mask(set_product(s, u, {x}))
+            assert t.MaM[x] == _mask(word_product(s, [u, {x}, u]))
+            aa = set_product(s, {x}, {x})
+            assert t.aaMaa[x] == _mask(word_product(s, [aa, u, {x}, {x}]))
+        for a, sa in enumerate(subsets[1:], start=1):
             assert t.semiprime_failure(a) == semiprime_failure(s, sa)
             if is_subsemigroup(s, sa):
                 assert setcalc._strongly_regular_within(s, a) == \
                     is_strongly_regular_subset(s, sa)
+
+
+def _assert_order_tier_matches(s):
+    # every order-tier fact of s against its frozenset definition
+    o = setcalc._facts(s)
+    subsets = list(all_subsets(s.n))
+    assert o.up == [_mask(b for b in range(s.n) if s.le(a, b)) for a in range(s.n)]
+    assert o.clo == [_mask(downward_closure(s, sa)) for sa in subsets]
+    nonempty = subsets[1:]
+    bi_ideals = [b for b in nonempty if is_bi_ideal(s, b)]
+    assert o.bi_ideals == tuple(_mask(b) for b in bi_ideals)
+    assert all_bi_ideals(s) == bi_ideals
+    assert product_failure(s) == next(
+        (b for b in bi_ideals if downward_closure(s, set_product(s, b, b)) != b), None)
+    assert [o.generated(a) for a in range(1, 1 << s.n)] == \
+        [_mask(bi_ideal_generated_formula(s, sa)) for sa in nonempty]
+    assert o.principal == tuple(_mask(bi_ideal_generated_formula(s, {a})) for a in range(s.n))
 
 
 def test_generated_bi_ideal_examples():
@@ -260,6 +274,55 @@ def test_regularity_agrees_with_exhaustive_first_hit():
         for a in range(s.n):
             for kind in REGULARITY_KINDS:
                 assert regularity(s, a, kind) == _first_witness_brute(s, a, kind)
+
+
+def _orders_per_table(n, m):
+    # labeled structures grouped by their shared tables object, stream order
+    groups = {}
+    for s in structure_pool(n, m, canonical=False):
+        groups.setdefault(id(s.tables), []).append(s)
+    return list(groups.values())
+
+
+def test_fact_tiers_survive_interleaved_structures_over_one_table():
+    # structures sharing one tables object, queried s1, s2, s1, ..., and a
+    # copy of the first over an equal but distinct tables object: every
+    # query moves the order memo, and the copy moves the table memo too
+    differing = 0
+    for group in _orders_per_table(3, 1) + _orders_per_table(2, 2):
+        if len(group) < 2:
+            continue
+        first = group[0]
+        copy = PoGammaSemigroup(GammaTables(first.n, first.m, first.tables.op), first.order)
+        assert copy.tables == first.tables and copy.tables is not first.tables
+        sequence = [x for s in group[1:] for x in (first, s)] + [copy, first]
+        shared = {id(setcalc._facts(s).table) for s in group}
+        assert len(shared) == 1 and id(setcalc._facts(copy).table) not in shared
+        for a in range(first.n):
+            for kind in REGULARITY_KINDS:
+                found = [regularity(s, a, kind) for s in sequence]
+                assert found == [_first_witness_brute(s, a, kind) for s in sequence]
+                differing += len(set(found)) > 1
+        for s in sequence:
+            assert is_completely_regular(s) == next(
+                (a for a in range(s.n) if _first_witness_brute(s, a, "completely-regular") is None),
+                None)
+            _assert_order_tier_matches(s)
+    assert differing > 0
+
+
+def test_witness_lists_need_no_subset_tables_past_the_limit():
+    n = setcalc.MAX_TABLE_ELEMENTS + 1
+    s = structure_from_rows([[[0] * n] * n], [[a == b for b in range(n)] for a in range(n)])
+    assert regularity(s, 0, "completely-regular") == \
+        RegularityWitness("completely-regular", 0, (0, 0, 0, 0, 0))
+    for kind in REGULARITY_KINDS:
+        assert [regularity(s, a, kind) is None for a in range(n)] == [False] + [True] * (n - 1)
+    assert is_completely_regular(s) == 1
+    o = setcalc._facts(s)
+    for tier, name in ((o, "clo"), (o, "bi_ideals"), (o.table, "left"), (o.table, "am")):
+        with pytest.raises(setcalc.StructureTooLarge):
+            getattr(tier, name)
 
 
 def _inequality_literal(s, kind, a, data):
