@@ -4,9 +4,14 @@ isomorphism canonicalization and the claim sweep over everything found.
 Tables are generated depth first, one cell at a time in (letter, row,
 column) order.  Each new cell is checked against the associativity
 instances that can read it, which model's scan lists, so a partial fill
-is abandoned at the first fully determined instance that fails.  Orders
-are the candidate relations that validate_order accepts, filtered by
-compatibility.
+is abandoned at the first fully determined instance that fails.
+
+Orders are filtered as bitmasks over the posets of all_partial_orders,
+listed once per process: for each relation entry, one mask holds the
+posets that contain it.  Per table, each pair a <= b maps to the mask of
+the pairs it forces through the products, and one pass over those
+implications keeps the compatible posets, all at once; the tuple scan
+order_compatible stays as the test oracle.
 
 Canonical forms are minimal byte encodings over every relabeling of
 elements and letters.  The encoding is table-major, so a structure is
@@ -15,8 +20,9 @@ its order is minimal over the orbit of the table's automorphisms.  A
 canonical search prunes a partial fill as soon as some relabeling makes
 its filled prefix smaller, since every completion then loses too, and so
 generates only minimal tables (Read's orderly generation, 1978; McKay,
-"Isomorph-free exhaustive generation", 1998).  Each compatible order is
-then tested only against its table's automorphisms.  The brute
+"Isomorph-free exhaustive generation", 1998).  The compatible orders are
+then compared, again all at once through the masks, only with their
+relabelings by the table's automorphisms.  The brute
 `canonical_key`, which relabels whole structures, stays as the test
 oracle.
 
@@ -44,6 +50,7 @@ from .model import (
     _associativity_failures,
     _associativity_instances,
     _compatibility_failures,
+    _forced_pairs,
     equality_order,
     validate_gamma_tables,
     validate_order,
@@ -195,31 +202,76 @@ def enumerate_tables_naive(spec: EnumSpec):
 def all_partial_orders(n: int) -> tuple:
     """Every partial order on 0..n-1, sorted by flattened relation.
 
-    The candidates are the reflexive relations that relate each pair of
-    distinct elements at most one way; validate_order keeps the
-    transitive ones.
+    A partial order restricts to one on 0..n-2, so the candidates are
+    those extended by each way of relating n-1 to every smaller element
+    at most one way; validate_order keeps the transitive ones.
     """
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if n == 1:
+        return (equality_order(1),)
     candidates = []
-    for ways in product(((False, False), (True, False), (False, True)), repeat=len(pairs)):
-        leq = [[i == j for j in range(n)] for i in range(n)]
-        for (i, j), (up, down) in zip(pairs, ways):
-            leq[i][j], leq[j][i] = up, down
-        candidates.append(tuple(map(tuple, leq)))
+    for o in all_partial_orders(n - 1):
+        for ways in product(((False, False), (True, False), (False, True)), repeat=n - 1):
+            rows = tuple(row + (up,) for row, (up, _) in zip(o.leq, ways))
+            candidates.append(rows + (tuple(down for _, down in ways) + (True,),))
     orders = (OrderRelation(n=n, leq=leq) for leq in sorted(candidates))
     return tuple(o for o in orders if validate_order(o).ok)
 
 
 def order_compatible(tables: GammaTables, order: OrderRelation) -> bool:
-    """Two-sided compatibility test that stops at the first failure."""
+    """Two-sided compatibility test that stops at the first failure; the
+    test oracle of the mask filter, which no sweep calls."""
     return next(_compatibility_failures(tables, order), None) is None
 
 
+@lru_cache(maxsize=None)
+def _poset_columns(n: int) -> tuple:
+    """Per flat relation entry k = x*n + y, the mask of the posets i in
+    all_partial_orders(n) with x <= y, poset i as bit i."""
+    cols = [0] * (n * n)
+    for i, o in enumerate(all_partial_orders(n)):
+        for k, v in enumerate(chain.from_iterable(o.leq)):
+            if v:
+                cols[k] |= 1 << i
+    return tuple(cols)
+
+
+def _implications(tables: GammaTables) -> list:
+    """imp[a*n + b] is the mask of the pairs x <= y with x != y, as bit
+    x*n + y, that a <= b forces for a != b (model's _forced_pairs); an
+    order is compatible exactly when it holds imp[p] for each p it holds."""
+    n = tables.n
+    off_diagonal = (1 << n * n) - 1 - sum(1 << x * (n + 1) for x in range(n))
+    imp = [0] * (n * n)
+    for a, b in permutations(range(n), 2):
+        forced = 0
+        for _, _, ac, bc, ca, cb in _forced_pairs(tables, a, b):
+            forced |= 1 << ac * n + bc | 1 << ca * n + cb
+        imp[a * n + b] = forced & off_diagonal
+    return imp
+
+
+def _compatible_orders(tables: GammaTables) -> int:
+    """The posets compatible with the tables, as a mask over
+    all_partial_orders(n): for each pair p, a poset that holds p must
+    hold every pair in imp[p], tested for all posets at once through
+    the columns."""
+    cols = _poset_columns(tables.n)
+    keep = cols[0]   # every poset holds 0 <= 0
+    for p, forced in enumerate(_implications(tables)):
+        if forced:
+            holds = keep
+            for q in setcalc._members(forced):
+                holds &= cols[q]
+            keep &= holds | ~cols[p]
+    return keep
+
+
 def enumerate_orders(tables: GammaTables):
-    """All partial orders compatible with the given tables."""
-    for o in all_partial_orders(tables.n):
-        if order_compatible(tables, o):
-            yield o
+    """All partial orders compatible with the given tables, in the order
+    of all_partial_orders."""
+    posets = all_partial_orders(tables.n)
+    for i in setcalc._members(_compatible_orders(tables)):
+        yield posets[i]
 
 
 def relabel(s: PoGammaSemigroup, pi, sigma) -> PoGammaSemigroup:
@@ -303,18 +355,37 @@ def _table_automorphisms(t: GammaTables):
     return autos
 
 
-def _order_is_minimal(order: OrderRelation, autos) -> bool:
-    flat = [v for row in order.leq for v in row]
-    return all([flat[j] for j in order_src] >= flat for order_src in autos)
+def _minimal_orders(t: GammaTables, keep: int) -> int:
+    """The posets of mask keep that no automorphism of table t maps to a
+    smaller flattened relation.  Relabeled entry k is entry order_src[k],
+    so per automorphism the columns are compared position by position
+    over all posets at once: a poset is smaller after relabeling when,
+    at the first moved entry that differs, it loses a pair."""
+    cols = _poset_columns(t.n)
+    for order_src in _table_automorphisms(t):
+        same, smaller = keep, 0
+        for k, src in enumerate(order_src):
+            if src != k:
+                mine, moved = cols[k], cols[src]
+                smaller |= same & mine & ~moved
+                same &= ~(mine ^ moved)
+                if not same:
+                    break
+        keep &= ~smaller
+    return keep
 
 
 def _table_structures(spec: EnumSpec, t: GammaTables):
     """The structures over table t that enumerate_structures keeps."""
-    autos = _table_automorphisms(t) if spec.canonical_only else ()
-    orders = enumerate_orders(t) if spec.require_order else (equality_order(t.n),)
-    for o in orders:
-        if not autos or _order_is_minimal(o, autos):
-            yield PoGammaSemigroup(tables=t, order=o)
+    if not spec.require_order:
+        yield PoGammaSemigroup(tables=t, order=equality_order(t.n))
+        return
+    keep = _compatible_orders(t)
+    if spec.canonical_only:
+        keep = _minimal_orders(t, keep)
+    posets = all_partial_orders(t.n)
+    for i in setcalc._members(keep):
+        yield PoGammaSemigroup(tables=t, order=posets[i])
 
 
 def enumerate_structures(spec: EnumSpec, prefix=()):
@@ -452,5 +523,7 @@ def sweep(spec: EnumSpec, theorem_ids=None, workers: int = 1) -> SweepReport:
     stream = chain(head, tables)
     if workers == 1 or len(head) < workers * SWEEP_CHUNK:
         return _merge_partitions(spec, ids, map(tally, stream))
+    if spec.require_order:
+        _poset_columns(spec.n)   # built once here, so forked workers inherit the posets
     with multiprocessing.Pool(workers) as pool:
         return _merge_partitions(spec, ids, pool.imap(tally, stream, SWEEP_CHUNK))

@@ -202,21 +202,28 @@ def validate_order(o: OrderRelation) -> ValidationReport:
     return ValidationReport.from_failures(failures)
 
 
+def _forced_pairs(tables: GammaTables, a: int, b: int):
+    """Yield (c, g, a g c, b g c, c g a, c g b) per c and letter g, in
+    validate_compatibility's order: a <= b forces the first product to be
+    <= the second (side "left"), and the third <= the fourth ("right")."""
+    for c in range(tables.n):
+        for g, og in enumerate(tables.op):
+            yield c, g, og[a][c], og[b][c], og[c][a], og[c][b]
+
+
 def _compatibility_failures(tables: GammaTables, order: OrderRelation):
     """Lazily yield the witness of each compatibility failure, as
     validate_compatibility reports them."""
-    op, leq, n, m = tables.op, order.leq, tables.n, tables.m
+    leq, n = order.leq, tables.n
     for a in range(n):
         for b in range(n):
             if a == b or not leq[a][b]:
                 continue
-            for c in range(n):
-                for g in range(m):
-                    og = op[g]
-                    if not leq[og[a][c]][og[b][c]]:
-                        yield (a, b, c, g, "left")
-                    if not leq[og[c][a]][og[c][b]]:
-                        yield (a, b, c, g, "right")
+            for c, g, ac, bc, ca, cb in _forced_pairs(tables, a, b):
+                if not leq[ac][bc]:
+                    yield (a, b, c, g, "left")
+                if not leq[ca][cb]:
+                    yield (a, b, c, g, "right")
 
 
 def validate_compatibility(s: PoGammaSemigroup) -> ValidationReport:

@@ -153,8 +153,14 @@ def _bit_masks(rows) -> list:
 
 
 def _members(mask: int) -> list:
-    """The elements of a mask, ascending."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    """The elements of a mask, ascending; one step per element, so a
+    sparse mask of thousands of bits (a sweep's poset masks) costs little."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 MAX_TABLE_ELEMENTS = 20   # n = 20 already takes seconds and hundreds of MB
@@ -235,8 +241,10 @@ class _TableFacts:
 
     pe[x][y] is x g y over every letter g; left[x][B] is xB and am[A] is
     AM; xMy[x][y], Ma[a], MaM[a] and aaMaa[a] are the fixed products of
-    prop2, thm9 and prop5; witnesses(a, kind) is a's witness list.  The
-    subset tables and products are built on first use."""
+    prop2, thm9 and prop5; amb(A, B) is AMB, kept per pair of masks since
+    prop2 asks for B(x)MB(y) over every order of the table, where the
+    principal bi-ideals repeat; witnesses(a, kind) is a's witness list.
+    The subset tables and products are built on first use."""
 
     def __init__(self, tables: GammaTables):
         n, op = tables.n, tables.op
@@ -248,6 +256,7 @@ class _TableFacts:
                 for y, z in enumerate(row):
                     self.pe[x][y] |= 1 << z
         self._witnesses = {}
+        self._amb = {}
 
     def witnesses(self, a: int, kind: str) -> _Witnesses:
         w = self._witnesses.get((a, kind))
@@ -279,6 +288,14 @@ class _TableFacts:
     @cached_property
     def aaMaa(self) -> list:
         return [self.mul(self.mul(self.am[self.pe[a][a]], 1 << a), 1 << a) for a in range(self.n)]
+
+    def amb(self, a: int, b: int) -> int:
+        """AMB"""
+        key = a << self.n | b
+        out = self._amb.get(key)
+        if out is None:
+            out = self._amb[key] = self.mul(self.am[a], b)
+        return out
 
     def mul(self, a: int, b: int) -> int:
         """AB"""

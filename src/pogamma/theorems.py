@@ -51,9 +51,8 @@ def check_prop2(s: PoGammaSemigroup) -> CheckReport:
     o = _facts(s)
     t = o.table
     for x in range(s.n):
-        bx_m = t.am[o.principal[x]]
         for y in range(s.n):
-            extra = t.mul(bx_m, o.principal[y]) & ~o.clo[t.xMy[x][y]]
+            extra = t.amb(o.principal[x], o.principal[y]) & ~o.clo[t.xMy[x][y]]
             if extra:
                 e = _members(extra)[0]
                 return _violated("prop2", {"x": x, "y": y, "element": e},

@@ -16,7 +16,7 @@ from conftest import (
     structure_pool,
     table_pool,
 )
-from pogamma import cli, enumeration, setcalc, theorems
+from pogamma import cli, enumeration, model, setcalc, theorems
 from pogamma.enumeration import (
     MAX_CANONICAL_CELLS,
     MAX_TABLE_CELLS,
@@ -187,6 +187,27 @@ def test_enumerate_orders_matches_the_validator():
                 if validate_compatibility(PoGammaSemigroup(tables=t, order=o)).ok]
         assert fast == slow
         assert equality_order(t.n) in fast
+
+
+@pytest.mark.parametrize("n,m,canonical", [(3, 1, False), (2, 3, False), (3, 2, False),
+                                            (4, 1, True), (3, 3, True)])
+def test_mask_filter_matches_order_compatible(n, m, canonical):
+    spec = EnumSpec(n, m, canonical_only=canonical)
+    for t in enumerate_tables(spec):
+        slow = [o for o in all_partial_orders(n) if order_compatible(t, o)]
+        assert list(enumerate_orders(t)) == slow
+
+
+def test_sweep_never_runs_the_compatibility_scan(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the tuple scan is the test oracle only")
+
+    expected = {spec: sweep(spec).structures for spec in (EnumSpec(3, 1), LABELED_SPEC_2_2)}
+    monkeypatch.setattr(enumeration, "order_compatible", refuse)
+    monkeypatch.setattr(enumeration, "_compatibility_failures", refuse)
+    monkeypatch.setattr(model, "_compatibility_failures", refuse)
+    for spec, structures in expected.items():
+        assert sweep(spec).structures == structures
 
 
 def test_order_compatible_early_exit_agrees_at_n3():
@@ -554,6 +575,33 @@ def test_labeled_structure_count_is_the_orbit_sum_of_canonical_structures(n, m, 
     assert sum(group // _automorphisms(s) for s in structure_pool(n, m)) == labeled
     if (n, m) == (3, 1):
         assert len(structure_pool(n, m, canonical=False)) == labeled
+
+
+def test_sweep_fills_the_posets_before_the_pool_forks(monkeypatch):
+    filled = []
+
+    class Recording(_InProcessPool):
+        def __init__(self, processes):
+            filled.append(enumeration._poset_columns.cache_info().currsize)
+
+    spec = EnumSpec(3, 1, canonical_only=False)
+    solo = sweep(spec, workers=1)
+    enumeration._poset_columns.cache_clear()
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(enumeration.multiprocessing, "Pool", Recording)
+    assert sweep(spec, workers=2) == solo
+    assert filled == [1]
+
+
+def test_five_element_census_slice():
+    # OEIS A001035 gives 4231 posets on 5 elements and A027851 1915
+    # semigroups of order 5 up to isomorphism; every tenth canonical
+    # table then carries 20,675 canonical structures (198,838 over all)
+    assert len(all_partial_orders(5)) == 4231
+    spec = EnumSpec(5, 1)
+    tables = list(enumerate_tables(spec))
+    assert len(tables) == 1915
+    assert sum(1 for t in tables[::10] for _ in enumeration._table_structures(spec, t)) == 20675
 
 
 def test_sweep_runs_a_short_table_stream_in_process(monkeypatch):
