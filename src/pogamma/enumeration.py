@@ -26,10 +26,21 @@ relabelings by the table's automorphisms.  The brute
 `canonical_key`, which relabels whole structures, stays as the test
 oracle.
 
+A sweep, labeled or canonical, walks the canonical stream and
+classifies and checks each canonical structure once.  A labeled sweep
+counts each one n! m! / |Stab| times, the size of its orbit, where the
+stabilizer holds the relabelings that fix both its table and its order;
+the automorphism comparison that picks the minimal orders also records
+which posets each automorphism fixes.  Only the classes a report lists,
+gap examples and violations, are expanded into their labeled images,
+each classified and checked on its own.  The labeled stream is not
+swept; it stays as the oracle of the labeled report.
+
 A sweep generates the table stream once and maps one per-table tally
 over it, with the builtin map on one worker or a short stream and
-Pool.imap otherwise; both return per-table results in stream order, so
-any worker count reproduces the single-worker report byte for byte.
+Pool.imap otherwise; both return per-table results in stream order, and
+the merge sorts listed structures by encoding, so any worker count
+reproduces the single-worker report byte for byte.
 """
 
 from __future__ import annotations
@@ -37,9 +48,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import lru_cache, partial
-from itertools import chain, islice, permutations, product
+from itertools import chain, islice, permutations, product, repeat
 from operator import iadd
 
 from . import setcalc, theorems
@@ -276,7 +287,8 @@ def enumerate_orders(tables: GammaTables):
 
 def relabel(s: PoGammaSemigroup, pi, sigma) -> PoGammaSemigroup:
     """Transport the structure along element map pi and letter map sigma
-    (both old index -> new index)."""
+    (both old index -> new index).  A labeled sweep builds with it the
+    images of each class its report lists."""
     n, m = s.n, s.m
     op = s.tables.op
     leq = s.order.leq
@@ -342,27 +354,29 @@ def _relabelings(n: int, m: int) -> tuple:
     return tuple(out)
 
 
-def _table_automorphisms(t: GammaTables):
-    """The distinct order maps (as order_src) of the non-identity element
-    maps among the relabelings that fix the table."""
+def _table_automorphisms(t: GammaTables) -> dict:
+    """Per order map (as order_src) of the relabelings that fix the table,
+    how many of them induce it; the identity map comes first and counts
+    the letter maps that fix the table with every element in place."""
     cells = tuple(v for table in t.op for row in table for v in row)
-    identity = tuple(range(t.n))
-    autos = []
+    autos = {}
     for pi, table_src, order_src in _relabelings(t.n, t.m):
-        if (pi != identity and order_src not in autos
-                and tuple(pi[cells[j]] for j in table_src) == cells):
-            autos.append(order_src)
+        if tuple(pi[cells[j]] for j in table_src) == cells:
+            autos[order_src] = autos.get(order_src, 0) + 1
     return autos
 
 
-def _minimal_orders(t: GammaTables, keep: int) -> int:
+def _minimal_orders(t: GammaTables, keep: int) -> tuple:
     """The posets of mask keep that no automorphism of table t maps to a
-    smaller flattened relation.  Relabeled entry k is entry order_src[k],
-    so per automorphism the columns are compared position by position
-    over all posets at once: a poset is smaller after relabeling when,
-    at the first moved entry that differs, it loses a pair."""
+    smaller flattened relation, and per automorphism order map, the mask
+    of those posets it fixes with the map's multiplicity.  Relabeled
+    entry k is entry order_src[k], so per map the columns are compared
+    position by position over all posets at once: a poset is smaller
+    after relabeling when, at the first moved entry that differs, it
+    loses a pair, and fixed when no moved entry differs."""
     cols = _poset_columns(t.n)
-    for order_src in _table_automorphisms(t):
+    fixed = []
+    for order_src, count in _table_automorphisms(t).items():
         same, smaller = keep, 0
         for k, src in enumerate(order_src):
             if src != k:
@@ -372,7 +386,8 @@ def _minimal_orders(t: GammaTables, keep: int) -> int:
                 if not same:
                     break
         keep &= ~smaller
-    return keep
+        fixed.append((same, count))
+    return keep, fixed
 
 
 def _table_structures(spec: EnumSpec, t: GammaTables):
@@ -382,7 +397,7 @@ def _table_structures(spec: EnumSpec, t: GammaTables):
         return
     keep = _compatible_orders(t)
     if spec.canonical_only:
-        keep = _minimal_orders(t, keep)
+        keep = _minimal_orders(t, keep)[0]
     posets = all_partial_orders(t.n)
     for i in setcalc._members(keep):
         yield PoGammaSemigroup(tables=t, order=posets[i])
@@ -470,46 +485,98 @@ _TALLIES = tuple(f.name for f in fields(SweepReport)
                  if f.default is not MISSING or f.default_factory is not MISSING)
 
 
-def _tally(spec: EnumSpec, ids, structures) -> SweepReport:
-    r = SweepReport(spec.n, spec.m, spec.canonical_only, spec.require_order, tuple(ids))
-    for s in structures:
-        r.structures += 1
-        flags = classify(s)
-        for key, flag in flags.items():
-            setattr(r, f"{key}_structures", getattr(r, f"{key}_structures") + flag)
-        if flags["product_property"] and not flags["completely_regular"]:
-            r.product_without_cr += 1
-            if len(r.product_without_cr_examples) < SWEEP_EXAMPLE_CAP:
-                r.product_without_cr_examples.append(s)
-        r.violations += [SweepViolation(structure=s, report=report)
-                         for report in theorems.run_selected(s, ids)
+def _assess(s: PoGammaSemigroup, ids) -> tuple:
+    """classify's flags for s, and the selected checkers' violations."""
+    return classify(s), [report for report in theorems.run_selected(s, ids)
                          if report.status == "violation"]
+
+
+def _images(s: PoGammaSemigroup) -> list:
+    """The distinct relabelings of s, by ascending structure_encoding."""
+    images = {}
+    for sigma in permutations(range(s.m)):
+        for pi in permutations(range(s.n)):
+            image = relabel(s, pi, sigma)
+            images.setdefault(structure_encoding(image), image)
+    return [images[key] for key in sorted(images)]
+
+
+def _tally(spec: EnumSpec, ids, structures, weights=None) -> SweepReport:
+    """Tally the structures, each standing for weights[i] isomorphic ones
+    (by default itself alone), from one classify and one checker run.
+
+    Only a structure the report must list, as a gap example or for a
+    violation, and that stands for more than itself, has its images
+    listed; each image is classified and checked on its own, so every
+    listed witness is that image's own.  The lists are left unsorted
+    and uncapped for _merge_partitions.
+    """
+    r = SweepReport(spec.n, spec.m, spec.canonical_only, spec.require_order, tuple(ids))
+    for s, weight in zip(structures, weights or repeat(1)):
+        flags, found = _assess(s, ids)
+        r.structures += weight
+        for key, flag in flags.items():
+            setattr(r, f"{key}_structures", getattr(r, f"{key}_structures") + flag * weight)
+        gap = flags["product_property"] and not flags["completely_regular"]
+        r.product_without_cr += gap * weight
+        if not (gap or found):
+            continue
+        listed = ([(image, *_assess(image, ids)) for image in _images(s)] if weight > 1
+                  else [(s, flags, found)])
+        for image, image_flags, image_found in listed:
+            if image_flags["product_property"] and not image_flags["completely_regular"]:
+                r.product_without_cr_examples.append(image)
+            r.violations += [SweepViolation(structure=image, report=report)
+                             for report in image_found]
     return r
 
 
 def _table_tally(spec: EnumSpec, ids, t: GammaTables) -> SweepReport:
-    return _tally(spec, ids, _table_structures(spec, t))
+    """Tally canonical table t's share of the sweep.  A canonical sweep
+    counts each canonical structure over t once.  A labeled sweep counts
+    it once per structure in its orbit, n! m! / |Stab(S)|, where Stab(S)
+    holds the relabelings that fix both its table and its order
+    (orbit-stabilizer), so each isomorphism class is checked once."""
+    if spec.canonical_only:
+        return _tally(spec, ids, _table_structures(spec, t))
+    # poset 0 is the discrete order, which every relabeling fixes
+    keep, fixed = _minimal_orders(t, _compatible_orders(t) if spec.require_order else 1)
+    group = len(_relabelings(t.n, t.m))
+    posets = all_partial_orders(t.n)
+    kept = setcalc._members(keep)
+    return _tally(spec, ids, [PoGammaSemigroup(tables=t, order=posets[i]) for i in kept],
+                  [group // sum(count for mask, count in fixed if mask >> i & 1) for i in kept])
 
 
 def _merge_partitions(spec: EnumSpec, ids, parts) -> SweepReport:
+    """Add up the parts' tallies and join their lists, sorted by
+    structure_encoding: the order of the labeled and the canonical
+    streams alike.  The sort is stable, so a structure's violations stay
+    in catalog order, and examples are cut to SWEEP_EXAMPLE_CAP."""
     merged = _tally(spec, ids, ())
+    examples = merged.product_without_cr_examples
     for p in parts:
         for name in _TALLIES:
             # lists grow in place, so a merge never recopies what it already holds
             setattr(merged, name, iadd(getattr(merged, name), getattr(p, name)))
-        del merged.product_without_cr_examples[SWEEP_EXAMPLE_CAP:]
+        if p.product_without_cr_examples:
+            examples.sort(key=structure_encoding)
+            del examples[SWEEP_EXAMPLE_CAP:]
+    merged.violations.sort(key=lambda v: structure_encoding(v.structure))
     return merged
 
 
 def sweep(spec: EnumSpec, theorem_ids=None, workers: int = 1) -> SweepReport:
-    """Enumerate per spec and run the selected checkers on every structure.
+    """Tally every structure per spec, running the selected checkers once
+    per isomorphism class.
 
-    The table stream is generated once, here, and each table is tallied
-    on its own: by the builtin map when the worker count, capped at the
-    CPU count, is 1 or the stream ends within the pool's first round of
-    workers * SWEEP_CHUNK tables, and by Pool.imap otherwise.  Both yield
-    per-table results in stream order, so the report is identical for
-    any worker count.
+    Both modes walk the canonical table stream, generated once, here, and
+    tally each table on its own (_table_tally): by the builtin map when
+    the worker count, capped at the CPU count, is 1 or the stream ends
+    within the pool's first round of workers * SWEEP_CHUNK tables, and by
+    Pool.imap otherwise.  Either map yields per-table results in stream
+    order, and the merge sorts what it lists, so the report is identical
+    for any worker count.
     """
     spec.validate()
     ids = tuple(theorem_ids) if theorem_ids else theorems.THEOREM_IDS
@@ -518,12 +585,12 @@ def sweep(spec: EnumSpec, theorem_ids=None, workers: int = 1) -> SweepReport:
         raise ValueError(f"unknown theorem ids: {sorted(unknown)}")
     workers = min(workers, os.cpu_count() or 1)
     tally = partial(_table_tally, spec, ids)
-    tables = enumerate_tables(spec)
+    tables = enumerate_tables(replace(spec, canonical_only=True))
     head = list(islice(tables, workers * SWEEP_CHUNK))
     stream = chain(head, tables)
     if workers == 1 or len(head) < workers * SWEEP_CHUNK:
         return _merge_partitions(spec, ids, map(tally, stream))
-    if spec.require_order:
+    if spec.require_order or not spec.canonical_only:
         _poset_columns(spec.n)   # built once here, so forked workers inherit the posets
     with multiprocessing.Pool(workers) as pool:
         return _merge_partitions(spec, ids, pool.imap(tally, stream, SWEEP_CHUNK))

@@ -48,6 +48,7 @@ from pogamma.model import (
 
 LABELED_SPEC_2_1 = EnumSpec(2, 1, canonical_only=False)
 LABELED_SPEC_2_2 = EnumSpec(2, 2, canonical_only=False)
+LABELED_SPEC_3_2 = EnumSpec(3, 2, canonical_only=False)
 
 
 def test_table_counts_frozen():
@@ -335,7 +336,9 @@ def test_sweep_labeled_2_1():
 
 def test_sweep_workers_do_not_change_the_report():
     # (1, 1) has a single table, so some workers get none
-    for spec in (EnumSpec(2, 2), EnumSpec(3, 1), LABELED_SPEC_2_2, EnumSpec(1, 1)):
+    # labeled (3, 2) walks 54 canonical tables, enough for a pool to start
+    for spec in (EnumSpec(2, 2), EnumSpec(3, 1), LABELED_SPEC_2_2, EnumSpec(1, 1),
+                 LABELED_SPEC_3_2):
         solo = sweep(spec, workers=1)
         for workers in (2, 3):
             other = sweep(spec, workers=workers)
@@ -383,6 +386,80 @@ def test_sweep_canonical_4_1():
     # the product_gap fixture is one of the census's separating examples
     gap = canonical_key(load(FIXTURE_DIR / "product_gap.json"))
     assert gap in [structure_encoding(s) for s in report.product_without_cr_examples]
+
+
+def test_sweep_labeled_4_1():
+    report = sweep(EnumSpec(4, 1, canonical_only=False), workers=2)
+    assert report.structures == 107688
+    assert report.product_without_cr == 288
+    assert len(report.product_without_cr_examples) == SWEEP_EXAMPLE_CAP
+    assert report.violations == []
+    # sha256 of `sweep --n 4 --m 1 --format machine`, first made by walking
+    # every labeled structure
+    digest = hashlib.sha256(serialize_report(report).encode("utf-8")).hexdigest()
+    assert digest == "22b3ff27eff7056bcf9b24e03522f14b7c5526787b4611f4e0dc010c6b9f3b02"
+
+
+def _brute_sweep(spec):
+    # the labeled stream itself, every structure tallied on its own
+    ids = theorems.THEOREM_IDS
+    return enumeration._merge_partitions(
+        spec, ids, [enumeration._tally(spec, ids, enumerate_structures(spec))])
+
+
+@pytest.mark.parametrize("require_order", [True, False])
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_labeled_sweep_equals_the_brute_tally(n, m, require_order):
+    spec = EnumSpec(n, m, require_order=require_order, canonical_only=False)
+    report, brute = sweep(spec), _brute_sweep(spec)
+    assert report == brute
+    assert serialize_report(report) == serialize_report(brute)
+
+
+def test_labeled_sweep_lists_each_image_of_a_violated_class(monkeypatch):
+    # no real sweep reports a violation, so plant one on every structure
+    # that is not completely regular, with that structure's own least
+    # failing element as the witness
+    checks = dict(theorems.CHECKERS)
+
+    def planted(s):
+        a = setcalc.is_completely_regular(s)
+        if a is None:
+            return checks["thm8"](s)
+        return theorems._violated("thm8", {"a": a}, "planted")
+
+    monkeypatch.setitem(theorems.CHECKERS, "thm8", planted)
+    for spec in (LABELED_SPEC_2_2, EnumSpec(3, 1, canonical_only=False)):
+        report, brute = sweep(spec), _brute_sweep(spec)
+        assert report == brute
+        assert serialize_report(report) == serialize_report(brute)
+        assert len(report.violations) == report.structures - report.completely_regular_structures
+        keys = [structure_encoding(v.structure) for v in report.violations]
+        assert keys == sorted(set(keys))
+        assert all(v.report.witness["a"] == setcalc.is_completely_regular(v.structure)
+                   for v in report.violations)
+
+
+def test_labeled_sweep_checks_each_class_once(monkeypatch):
+    walked, checked = [], []
+
+    def counted_tables(spec, *args):
+        walked.append(spec)
+        return enumerate_tables(spec, *args)
+
+    def counted_run(s, ids):
+        checked.append(s)
+        return run_selected(s, ids)
+
+    run_selected = theorems.run_selected
+    monkeypatch.setattr(enumeration, "enumerate_tables", counted_tables)
+    monkeypatch.setattr(theorems, "run_selected", counted_run)
+    report = sweep(LABELED_SPEC_3_2)
+    assert report.structures == 3203
+    assert report.product_without_cr == 0 and report.violations == []
+    # the canonical tables only, and one checker run per class: none is listed
+    assert walked == [EnumSpec(3, 2, canonical_only=True)]
+    assert len(checked) == 371
 
 
 def test_sweep_caps_workers_at_the_cpu_count(monkeypatch):
@@ -559,6 +636,20 @@ def test_reversal_keeps_classes_and_statuses_and_swaps_left_and_right():
     assert checked == 5977
 
 
+@pytest.mark.parametrize("n,m,labeled", [(2, 2, 34), (3, 1, 971), (2, 3, 62), (3, 2, 3203)])
+def test_relabeling_keeps_classes_and_statuses(n, m, labeled):
+    # the invariance a labeled sweep rests on: it classifies and checks one
+    # structure per isomorphism class and counts the outcome for each of
+    # the class's labeled structures
+    images = 0
+    for s in structure_pool(n, m):
+        expected = (classify(s), [r.status for r in theorems.run_all(s)])
+        for image in enumeration._images(s):
+            assert (classify(image), [r.status for r in theorems.run_all(image)]) == expected
+            images += 1
+    assert images == labeled
+
+
 def _automorphisms(s):
     cells = tuple(v for table in s.tables.op for row in table for v in row)
     flat = tuple(v for row in s.order.leq for v in row)
@@ -584,7 +675,9 @@ def test_sweep_fills_the_posets_before_the_pool_forks(monkeypatch):
         def __init__(self, processes):
             filled.append(enumeration._poset_columns.cache_info().currsize)
 
-    spec = EnumSpec(3, 1, canonical_only=False)
+    # a labeled sweep walks the canonical tables: 54 at (3, 2), more than
+    # the pool's first round of 2 * SWEEP_CHUNK
+    spec = LABELED_SPEC_3_2
     solo = sweep(spec, workers=1)
     enumeration._poset_columns.cache_clear()
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
