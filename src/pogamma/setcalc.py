@@ -7,19 +7,22 @@ example (A u AMA] is the closure of A united with the three-factor
 product through the whole universe M.
 
 classify, the checkers and the CLI's analyze read every fact from
-bitmask tables (element i is bit i) kept in two tiers.  The table tier,
-_TableFacts, holds what the products alone decide: x g y over every
-letter, the products xB and AM, the fixed products the checkers read,
-and for each element and regularity kind a witness list.  Each
-regularity notion is an inequality a <= rhs with rhs a product, so the
-list holds the candidates of the scan, in scan order, that bring a new
-value of rhs, with the union mask of the values scanned so far; a list
-grows only as far as a query needs.  The order tier, _OrderFacts, holds
-what the order decides: the up-set mask of each element, closures,
-bi-ideals, B(a) and the product property.  A witness exists when the
-union mask meets the up-set of a, and the first witness is the first
-listed candidate inside it.  Every structure over one table object
-shares its table tier, so a sweep builds it once per table.
+bitmask tables (element i is bit i, and subset B is bit B of a mask over
+subsets) kept in three tiers.  The table tier, _TableFacts, holds what
+the products alone decide: x g y over every letter, the products xB and
+AM, the fixed products the checkers read, the subset maps AA, A u AMA,
+AMB and BMB inside B, and for each element and regularity kind a
+witness list.  Each regularity notion is an inequality a <= rhs with rhs
+a product, so the list holds the candidates of the scan, in scan order,
+that bring a new value of rhs, with the union mask of the values scanned
+so far; a list grows only as far as a query needs.  The poset tier,
+_PosetFacts, holds what the order alone decides: up-sets, closures and
+the down-closed subsets.  The structure tier, _OrderFacts, holds what
+needs both: bi-ideals, B(a), the product property and per kind the
+least element without a witness (one exists when the union mask meets
+the up-set of a).  Structures over one table object share its table
+tier, and structures over one order object its poset tier, so a sweep
+builds one per table and one per poset of all_partial_orders(n).
 
 The frozenset functions (downward_closure, set_product, is_bi_ideal,
 semiprime_failure, ...) stay as the definitions, and the tests hold the
@@ -30,11 +33,12 @@ witness lists and up-sets need none of them.
 
 from __future__ import annotations
 
+import re
+import weakref
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 
-from .model import GammaTables, PoGammaSemigroup
+from .model import GammaTables, OrderRelation, PoGammaSemigroup
 
 
 def _regular_rhs(op, a, x, g, u):
@@ -153,14 +157,52 @@ def _bit_masks(rows) -> list:
 
 
 def _members(mask: int) -> list:
-    """The elements of a mask, ascending; one step per element, so a
-    sparse mask of thousands of bits (a sweep's poset masks) costs little."""
+    """The elements of a mask, ascending.  A lowest-bit step costs the
+    length of the mask, so a long one (a sweep's poset masks, a subset
+    mask past n = 8) is read from its binary digits instead."""
+    if mask.bit_length() > 256:
+        return [m.start() for m in re.finditer("1", bin(mask)[:1:-1])]
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _mask_of(bits, size: int) -> int:
+    """The mask of the bits, all below size, built in time linear in size."""
+    digits = bytearray(b"0" * size)
+    for b in bits:
+        digits[size - 1 - b] = 49   # "1"
+    return int(digits, 2)
+
+
+class _cached:
+    """functools.cached_property without the lock it takes on each first
+    read in Python 3.11 (the one-slot fact memos assume one thread): the
+    first read computes the value and stores it on the instance, where
+    later reads find it without this descriptor."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
+class _Lazy(dict):
+    """A map filled on demand: a missing key k is stored as fill(k)."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        out = self[key] = self.fill(key)
+        return out
 
 
 MAX_TABLE_ELEMENTS = 20   # n = 20 already takes seconds and hundreds of MB
@@ -236,15 +278,25 @@ class _Witnesses:
         return bool(reach & up) or (self._scan is not None and self._grow(up, pool) is not None)
 
 
+def _mul(left, a: int, b: int) -> int:
+    """AB, the union of xB over the x in A, read from the rows left[x][B] = xB"""
+    out = 0
+    for x, row in enumerate(left):
+        if a >> x & 1:
+            out |= row[b]
+    return out
+
+
 class _TableFacts:
     """The table tier: what the products alone decide, element i as bit i.
 
     pe[x][y] is x g y over every letter g; left[x][B] is xB and am[A] is
     AM; xMy[x][y], Ma[a], MaM[a] and aaMaa[a] are the fixed products of
-    prop2, thm9 and prop5; amb(A, B) is AMB, kept per pair of masks since
-    prop2 asks for B(x)MB(y) over every order of the table, where the
-    principal bi-ideals repeat; witnesses(a, kind) is a's witness list.
-    The subset tables and products are built on first use."""
+    prop2, thm9 and prop5; witnesses(kind)[a] is a's witness list.  The
+    subset maps AA[A], AuAMA[A] = A u AMA and amb[A, B] = AMB keep each
+    value the orders over the table ask for, and bmb_closed(wanted)
+    picks the subsets B of a mask with BMB inside B, testing each B once
+    per table.  The subset tables and products are built on first use."""
 
     def __init__(self, tables: GammaTables):
         n, op = tables.n, tables.op
@@ -256,98 +308,126 @@ class _TableFacts:
                 for y, z in enumerate(row):
                     self.pe[x][y] |= 1 << z
         self._witnesses = {}
-        self._amb = {}
+        self._bmb_known = self._bmb_closed = 0
 
-    def witnesses(self, a: int, kind: str) -> _Witnesses:
-        w = self._witnesses.get((a, kind))
-        if w is None:
-            w = self._witnesses[a, kind] = _Witnesses(self.op, self.n, self.m, a, kind)
-        return w
+    def witnesses(self, kind: str) -> list:
+        ws = self._witnesses.get(kind)
+        if ws is None:
+            ws = self._witnesses[kind] = [_Witnesses(self.op, self.n, self.m, a, kind)
+                                          for a in range(self.n)]
+        return ws
 
-    @cached_property
+    @_cached
     def left(self) -> list:
         size = _subset_table_size(self.n)
         return [_union_table(size, row) for row in self.pe]
 
-    @cached_property
+    @_cached
     def am(self) -> list:
         return _union_table(1 << self.n, [row[self.full] for row in self.left])
 
-    @cached_property
+    @_cached
     def xMy(self) -> list:
-        return [[self.mul(self.am[1 << x], 1 << y) for y in range(self.n)] for x in range(self.n)]
+        return [[_mul(self.left, self.am[1 << x], 1 << y) for y in range(self.n)]
+                for x in range(self.n)]
 
-    @cached_property
+    @_cached
     def Ma(self) -> list:
-        return [self.mul(self.full, 1 << a) for a in range(self.n)]
+        return [_mul(self.left, self.full, 1 << a) for a in range(self.n)]
 
-    @cached_property
+    @_cached
     def MaM(self) -> list:
         return [self.am[ma] for ma in self.Ma]
 
-    @cached_property
+    @_cached
     def aaMaa(self) -> list:
-        return [self.mul(self.mul(self.am[self.pe[a][a]], 1 << a), 1 << a) for a in range(self.n)]
+        left, am = self.left, self.am
+        return [_mul(left, _mul(left, am[self.pe[a][a]], 1 << a), 1 << a) for a in range(self.n)]
 
-    def amb(self, a: int, b: int) -> int:
-        """AMB"""
-        key = a << self.n | b
-        out = self._amb.get(key)
-        if out is None:
-            out = self._amb[key] = self.mul(self.am[a], b)
-        return out
+    # the maps hold the rows, not self, so no cycle keeps a table tier alive
+    @_cached
+    def AA(self) -> dict:
+        left = self.left
+        return _Lazy(lambda a: _mul(left, a, a))
 
-    def mul(self, a: int, b: int) -> int:
-        """AB"""
-        out = 0
-        for x, row in enumerate(self.left):
-            if a >> x & 1:
-                out |= row[b]
-        return out
+    @_cached
+    def AuAMA(self) -> dict:
+        left, am = self.left, self.am
+        return _Lazy(lambda a: a | _mul(left, am[a], a))
+
+    @_cached
+    def amb(self) -> dict:
+        left, am = self.left, self.am
+        return _Lazy(lambda ab: _mul(left, am[ab[0]], ab[1]))
+
+    def bmb_closed(self, wanted: int) -> int:
+        """The subsets B in the mask wanted (subset B as bit B) with BMB inside B."""
+        todo = wanted & ~self._bmb_known
+        if todo:
+            left, am, self._bmb_known = self.left, self.am, self._bmb_known | todo
+            closed = (b for b in _members(todo) if not _mul(left, am[b], b) & ~b)
+            self._bmb_closed |= _mask_of(closed, 1 << self.n)
+        return wanted & self._bmb_closed
 
     def semiprime_failure(self, b: int):
         """Least a outside B with aa inside B, or None when B is semiprime."""
         return next((a for a, row in enumerate(self.pe) if not (b >> a & 1 or row[a] & ~b)), None)
 
 
-class _OrderFacts:
-    """The order tier of one structure over its table tier, table: up[a] is
-    the mask of the v with a <= v, clo[A] is (A], bi_ideals lists every
-    bi-ideal B, ascending (B = (B] and BMB inside B), principal[a] is B(a)
-    and product_failure the first B with (BB] != B.  least caches
-    _least_without per tuple of kinds."""
+class _PosetFacts:
+    """The poset tier: what the order alone decides.  up[a] is the mask
+    of the v with a <= v, clo[A] is (A], and down_closed is the mask of
+    the subsets B with (B] = B, subset B as bit B.  up needs no subset
+    table; clo and down_closed are built on first use."""
 
-    def __init__(self, s: PoGammaSemigroup, table: _TableFacts):
-        self.table = table
-        self.leq = s.order.leq
-        self.up = _bit_masks(self.leq)
+    def __init__(self, order: OrderRelation):
+        self.n, self.leq = order.n, order.leq
+        self.up = _bit_masks(order.leq)
+
+    @_cached
+    def clo(self) -> list:
+        return _union_table(_subset_table_size(self.n), _bit_masks(zip(*self.leq)))
+
+    @_cached
+    def down_closed(self) -> int:
+        clo = self.clo
+        return _mask_of((b for b, c in enumerate(clo) if c == b), len(clo))
+
+
+class _OrderFacts:
+    """The structure tier, over the table tier and the poset tier of one
+    structure: bi_ideals lists every bi-ideal B, ascending (nonempty,
+    down-closed and BMB inside B), principal[a] is B(a) and
+    product_failure the first B with (BB] != B; least[kind] is the least
+    element without a witness of the kind (n when there is none), kept by
+    _least_without."""
+
+    def __init__(self, table: _TableFacts, poset: _PosetFacts):
+        self.table, self.poset, self.up = table, poset, poset.up
         self.least = {}
 
-    @cached_property
-    def clo(self) -> list:
-        return _union_table(_subset_table_size(self.table.n), _bit_masks(zip(*self.leq)))
-
-    @cached_property
+    @_cached
     def bi_ideals(self) -> tuple:
-        clo, am, mul = self.clo, self.table.am, self.table.mul
-        return tuple(b for b in range(1, len(clo)) if clo[b] == b and not mul(am[b], b) & ~b)
+        return tuple(_members(self.table.bmb_closed(self.poset.down_closed & ~1)))
 
-    @cached_property
+    @_cached
     def principal(self) -> tuple:
-        return tuple(self.generated(1 << a) for a in range(self.table.n))
+        clo, gen = self.poset.clo, self.table.AuAMA
+        return tuple(clo[gen[1 << a]] for a in range(self.table.n))
 
-    @cached_property
+    @_cached
     def product_failure(self):
-        clo, mul = self.clo, self.table.mul
-        return next((b for b in self.bi_ideals if clo[mul(b, b)] != b), None)
+        clo, aa = self.poset.clo, self.table.AA
+        return next((b for b in self.bi_ideals if clo[aa[b]] != b), None)
 
     def generated(self, a: int) -> int:
         """(A u AMA], the bi-ideal generated by a nonempty A"""
-        return self.clo[a | self.table.mul(self.table.am[a], a)]
+        return self.poset.clo[self.table.AuAMA[a]]
 
 
 _last_table = (None, None)   # the tables last asked about, and their facts
-_last_order = (None, None)   # the structure last asked about, and its order facts
+_last_order = (None, None)   # the structure last asked about, and its facts
+_posets = {}                 # id(order) -> (weak reference to the order, its poset tier)
 
 
 def _table_facts(tables: GammaTables) -> _TableFacts:
@@ -359,12 +439,25 @@ def _table_facts(tables: GammaTables) -> _TableFacts:
     return _last_table[1]
 
 
+def _poset_facts(order: OrderRelation) -> _PosetFacts:
+    """The poset tier of an order object, found by identity while the object
+    lives: a sweep's structures share the posets of all_partial_orders(n),
+    and a loaded structure brings an order object of its own."""
+    key = id(order)
+    entry = _posets.get(key)
+    if entry is None or entry[0]() is not order:
+        entry = _posets[key] = (weakref.ref(order, lambda _: _posets.pop(key, None)),
+                                _PosetFacts(order))
+    return entry[1]
+
+
 def _facts(s: PoGammaSemigroup) -> _OrderFacts:
-    """The order tier of s, over its table tier; found by identity like
-    _table_facts, and built afresh when another structure is asked about."""
+    """The structure tier of s, over its table and poset tiers; found by
+    identity like _table_facts, and built afresh when another structure
+    is asked about."""
     global _last_order
     if _last_order[0] is not s:
-        _last_order = (s, _OrderFacts(s, _table_facts(s.tables)))
+        _last_order = (s, _OrderFacts(_table_facts(s.tables), _poset_facts(s.order)))
     return _last_order[1]
 
 
@@ -436,18 +529,28 @@ def regularity(s: PoGammaSemigroup, a: int, kind: str):
     if kind not in _INEQUALITIES:
         raise ValueError(f"unknown regularity kind {kind!r}, expected one of {REGULARITY_KINDS}")
     o = _facts(s)
-    data = o.table.witnesses(a, kind).first(o.up[a])
+    data = o.table.witnesses(kind)[a].first(o.up[a])
     return None if data is None else RegularityWitness(kind, a, data)
 
 
 def _least_without(s: PoGammaSemigroup, *kinds):
-    """Least element lacking a witness of any of the kinds, or None."""
+    """Least element lacking a witness of any of the kinds, or None: the
+    least of the kinds' own least such elements, each found once per
+    structure by a scan that stops where it is found."""
     o = _facts(s)
-    if kinds not in o.least:
-        t = o.table
-        o.least[kinds] = next((a for a, up in enumerate(o.up) for kind in kinds
-                               if not t.witnesses(a, kind).exists(up)), None)
-    return o.least[kinds]
+    n = least = len(o.up)
+    for kind in kinds:
+        a = o.least.get(kind)
+        if a is None:
+            a = 0
+            for up, w in zip(o.up, o.table.witnesses(kind)):
+                if not (w.union & up or w.exists(up)):
+                    break
+                a += 1
+            o.least[kind] = a
+        if a < least:
+            least = a
+    return None if least == n else least
 
 
 def is_completely_regular(s: PoGammaSemigroup):
@@ -487,8 +590,8 @@ def compose_cr_witness(s: PoGammaSemigroup, a: int, reg: RegularityWitness,
 def _strongly_regular_within(s: PoGammaSemigroup, mask: int) -> bool:
     """Strong regularity relativized to a subsemigroup given as a mask."""
     o = _facts(s)
-    return all(o.table.witnesses(b, "strongly-regular").exists(o.up[b], mask)
-               for b in _members(mask))
+    ws = o.table.witnesses("strongly-regular")
+    return all(ws[b].exists(o.up[b], mask) for b in _members(mask))
 
 
 def is_strongly_regular_subset(s: PoGammaSemigroup, t) -> bool:

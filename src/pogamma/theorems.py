@@ -49,10 +49,10 @@ def _violated(tid: str, witness: dict, detail: str) -> CheckReport:
 def check_prop2(s: PoGammaSemigroup) -> CheckReport:
     """B(x) M B(y) <= (x M y] for all elements x, y."""
     o = _facts(s)
-    t = o.table
-    for x in range(s.n):
-        for y in range(s.n):
-            extra = t.amb(o.principal[x], o.principal[y]) & ~o.clo[t.xMy[x][y]]
+    amb, clo, principal = o.table.amb, o.poset.clo, o.principal
+    for x, (bx, xM) in enumerate(zip(principal, o.table.xMy)):
+        for y, (by, xMy) in enumerate(zip(principal, xM)):
+            extra = amb[bx, by] & ~clo[xMy]
             if extra:
                 e = _members(extra)[0]
                 return _violated("prop2", {"x": x, "y": y, "element": e},
@@ -179,8 +179,8 @@ def check_thm8(s: PoGammaSemigroup) -> CheckReport:
         return _passed("thm8", "vacuous: not strongly regular")
     o = _facts(s)
     op, leq = s.tables.op, s.order.leq
-    for a in range(s.n):
-        x, g, u = o.table.witnesses(a, "strongly-regular").first(o.up[a])
+    for a, w in enumerate(o.table.witnesses("strongly-regular")):
+        x, g, u = w.first(o.up[a])
         y, _, _ = thm8_witness(s, a, x, g, u)
         # a <= (a g y) u a and y <= (y u a) g y are plain regularity
         a_ok = leq[a][_regular_rhs(op, a, y, g, u)]
@@ -204,12 +204,12 @@ def check_thm9(s: PoGammaSemigroup) -> CheckReport:
     a failure there is reported as a violation outright.
     """
     o = _facts(s)
-    t = o.table
+    t, clo = o.table, o.poset.clo
     b1 = is_strongly_regular(s) is None
     sub_ok, tested = True, set()
     for a in range(s.n):
-        span = o.clo[t.MaM[a]]
-        if t.mul(span, span) & ~span:
+        span = clo[t.MaM[a]]
+        if t.AA[span] & ~span:
             return _violated("thm9", {"a": a, "subset": _members(span)},
                              f"(M {a} M] is not a subsemigroup")
         if sub_ok and span not in tested:
@@ -217,7 +217,7 @@ def check_thm9(s: PoGammaSemigroup) -> CheckReport:
             sub_ok = _strongly_regular_within(s, span)
     one_sided = _least_without(s, "left-regular", "right-regular") is None
     b2 = one_sided and sub_ok
-    sided_ok = all(o.clo[t.Ma[a]] & o.clo[t.am[1 << a]] & 1 << a for a in range(s.n))
+    sided_ok = all(clo[t.Ma[a]] & clo[t.am[1 << a]] & 1 << a for a in range(s.n))
     b3 = sided_ok and sub_ok
     if not (b1 == b2 == b3):
         return _violated("thm9",

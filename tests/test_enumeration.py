@@ -513,13 +513,16 @@ def test_sweep_scans_each_witness_and_lists_bi_ideals_once_per_structure(monkeyp
     # fact tiers and witness lists, counted over a canonical sweep.  Every
     # structure over one table shares one table tier, which makes each
     # (element, kind) witness list once and scans each of its candidates
-    # at most once; each structure builds one order tier and grows a list
-    # over the whole universe at most once per (element, kind), so at most
-    # 5n times.  thm9's growth within (M a M] passes a subset pool and is
-    # not counted.  The bi-ideal listing, every checker and analyze read
-    # the tables, so the frozenset definitions (every one goes through
-    # set_product or downward_closure) are never called.
+    # at most once; every structure over one poset object of
+    # all_partial_orders shares one poset tier; each structure builds one
+    # structure tier and grows a list over the whole universe at most once
+    # per (element, kind), so at most 5n times.  thm9's growth within
+    # (M a M] passes a subset pool and is not counted.  The bi-ideal
+    # listing, every checker and analyze read the tables, so the frozenset
+    # definitions (every one goes through set_product or downward_closure)
+    # are never called.
     table_tiers, order_tiers, lists, scanned, grows = (Counter() for _ in range(5))
+    poset_tiers = []   # (order, tier) per poset tier built
     frozenset_calls = Counter()
     current = [None]   # the structure classify was last called on
 
@@ -550,10 +553,15 @@ def test_sweep_scans_each_witness_and_lists_bi_ideals_once_per_structure(monkeyp
             table_tiers[tables.op] += 1
             super().__init__(tables)
 
+    class CountedPosets(setcalc._PosetFacts):
+        def __init__(self, order):
+            poset_tiers.append((order, self))
+            super().__init__(order)
+
     class CountedOrders(setcalc._OrderFacts):
-        def __init__(self, s, table):
-            order_tiers[s] += 1
-            super().__init__(s, table)
+        def __init__(self, table, poset):
+            order_tiers[table, poset] += 1
+            super().__init__(table, poset)
 
     class CountedWitnesses(setcalc._Witnesses):
         __slots__ = ()
@@ -571,13 +579,21 @@ def test_sweep_scans_each_witness_and_lists_bi_ideals_once_per_structure(monkeyp
 
     monkeypatch.setattr(enumeration, "classify", tracked_classify)
     monkeypatch.setattr(setcalc, "_TableFacts", CountedTables)
+    monkeypatch.setattr(setcalc, "_PosetFacts", CountedPosets)
+    monkeypatch.setattr(setcalc, "_posets", {})   # no poset tier left by an earlier test
     monkeypatch.setattr(setcalc, "_OrderFacts", CountedOrders)
     monkeypatch.setattr(setcalc, "_Witnesses", CountedWitnesses)
     spec = EnumSpec(3, 1)
     assert sweep(spec).structures == 173
-    # one table tier per table, and one order tier per structure over it
+    # one table tier per table, at most one poset tier per poset object,
+    # and one structure tier per structure over the two
     assert sorted(table_tiers) == sorted(t.op for t in enumerate_tables(spec))
     assert set(table_tiers.values()) == {1}
+    posets = all_partial_orders(3)
+    swept = [order for order, _ in poset_tiers]
+    assert 0 < len(swept) <= len(posets)
+    assert len({id(order) for order in swept}) == len(swept)
+    assert all(any(order is p for p in posets) for order in swept)
     assert len(order_tiers) == 173
     assert set(order_tiers.values()) == {1}
     assert lists and set(lists.values()) == {1}
@@ -588,11 +604,17 @@ def test_sweep_scans_each_witness_and_lists_bi_ideals_once_per_structure(monkeyp
     assert 0 < len(grows) < 173 // 2
     assert max(grows.values()) <= 5 * 3
     assert not frozenset_calls
+    # a loaded structure brings its own order object, so each call builds
+    # its own poset tier and no call reads another call's
     for path in sorted(FIXTURE_DIR.glob("*.json")):
         for command in ("analyze", "check"):
             for fmt in ("text", "machine"):
+                built = len(poset_tiers)
                 assert cli.main([command, str(path), "--format", fmt]) == 0
+                assert len(poset_tiers) == built + 1
     capsys.readouterr()
+    called = [tier for _, tier in poset_tiers[len(swept):]]
+    assert len({id(tier) for tier in called}) == len(called) == 4 * len(list(FIXTURE_DIR.glob("*.json")))
     assert not frozenset_calls
     # the counters see a frozenset definition when one is called
     setcalc.is_bi_ideal(make_min_chain(), {0})

@@ -157,10 +157,10 @@ def test_mask_tables_equal_the_frozenset_definitions():
         subsets = list(all_subsets(s.n))   # subsets[A] has the bits of A
         for a, sa in enumerate(subsets):
             assert t.am[a] == _mask(set_product(s, sa, s.universe))
-            assert t.mul(t.am[a], a) == _mask(word_product(s, [sa, s.universe, sa]))
+            assert setcalc._mul(t.left, t.am[a], a) == _mask(word_product(s, [sa, s.universe, sa]))
             for b, sb in enumerate(subsets):
-                assert t.mul(a, b) == _mask(set_product(s, sa, sb))
-                assert t.amb(a, b) == _mask(word_product(s, [sa, s.universe, sb]))
+                assert setcalc._mul(t.left, a, b) == _mask(set_product(s, sa, sb))
+                assert t.amb[a, b] == _mask(word_product(s, [sa, s.universe, sb]))
         u = s.universe
         for x in range(s.n):
             assert t.pe[x] == [_mask(set_product(s, {x}, {y})) for y in range(s.n)]
@@ -177,11 +177,15 @@ def test_mask_tables_equal_the_frozenset_definitions():
 
 
 def _assert_order_tier_matches(s):
-    # every order-tier fact of s against its frozenset definition
+    # every poset-tier and structure-tier fact of s, and the subset maps
+    # of its table tier, against their frozenset definitions
     o = setcalc._facts(s)
+    p, t = o.poset, o.table
     subsets = list(all_subsets(s.n))
-    assert o.up == [_mask(b for b in range(s.n) if s.le(a, b)) for a in range(s.n)]
-    assert o.clo == [_mask(downward_closure(s, sa)) for sa in subsets]
+    u = s.universe
+    assert p.up == o.up == [_mask(b for b in range(s.n) if s.le(a, b)) for a in range(s.n)]
+    assert p.clo == [_mask(downward_closure(s, sa)) for sa in subsets]
+    assert p.down_closed == _mask(b for b, sb in enumerate(subsets) if downward_closure(s, sb) == sb)
     nonempty = subsets[1:]
     bi_ideals = [b for b in nonempty if is_bi_ideal(s, b)]
     assert o.bi_ideals == tuple(_mask(b) for b in bi_ideals)
@@ -191,6 +195,11 @@ def _assert_order_tier_matches(s):
     assert [o.generated(a) for a in range(1, 1 << s.n)] == \
         [_mask(bi_ideal_generated_formula(s, sa)) for sa in nonempty]
     assert o.principal == tuple(_mask(bi_ideal_generated_formula(s, {a})) for a in range(s.n))
+    for a, sa in enumerate(subsets):
+        assert t.AA[a] == _mask(set_product(s, sa, sa))
+        assert t.AuAMA[a] == _mask(sa | word_product(s, [sa, u, sa]))
+    assert t.bmb_closed((1 << len(subsets)) - 1) == \
+        _mask(b for b, sb in enumerate(subsets) if word_product(s, [sb, u, sb]) <= sb)
 
 
 def test_generated_bi_ideal_examples():
@@ -277,6 +286,34 @@ def test_regularity_agrees_with_exhaustive_first_hit():
                 assert regularity(s, a, kind) == _first_witness_brute(s, a, kind)
 
 
+# every tuple of kinds the code asks _least_without about
+_KIND_TUPLES = (("regular",), ("completely-regular",), ("strongly-regular",),
+                ("regular", "left-regular", "right-regular"), ("left-regular", "right-regular"))
+
+
+def test_least_without_matches_brute_witnesses_in_any_query_order():
+    # the per-kind least elements without a witness against brute
+    # witnesses.  Each structure asks for the tuples in its own rotation,
+    # and a second pass walks the pool backwards with the tuples reversed,
+    # so an answer kept from another structure or another kind, or a
+    # minimum over the wrong kinds, would show
+    checked = 0
+    for n, m in ((3, 1), (2, 2), (2, 3)):
+        pool = structure_pool(n, m, canonical=False)
+        lacking = [{kind: {a for a in range(s.n) if _first_witness_brute(s, a, kind) is None}
+                    for kind in REGULARITY_KINDS} for s in pool]
+        passes = (list(enumerate(pool)), list(enumerate(pool))[::-1])
+        for forward, structures in zip((True, False), passes):
+            for i, s in structures:
+                k = i % len(_KIND_TUPLES)
+                queries = _KIND_TUPLES[k:] + _KIND_TUPLES[:k]
+                for kinds in queries if forward else queries[::-1]:
+                    want = min(set().union(*(lacking[i][kind] for kind in kinds)), default=None)
+                    assert setcalc._least_without(s, *kinds) == want
+                    checked += 1
+    assert checked == 2 * 5 * (971 + 34 + 62)
+
+
 def _orders_per_table(n, m):
     # labeled structures grouped by their shared tables object, stream order
     groups = {}
@@ -321,7 +358,8 @@ def test_witness_lists_need_no_subset_tables_past_the_limit():
         assert [regularity(s, a, kind) is None for a in range(n)] == [False] + [True] * (n - 1)
     assert is_completely_regular(s) == 1
     o = setcalc._facts(s)
-    for tier, name in ((o, "clo"), (o, "bi_ideals"), (o.table, "left"), (o.table, "am")):
+    for tier, name in ((o.poset, "clo"), (o.poset, "down_closed"), (o, "bi_ideals"),
+                       (o.table, "left"), (o.table, "am"), (o.table, "AA")):
         with pytest.raises(setcalc.StructureTooLarge):
             getattr(tier, name)
 
