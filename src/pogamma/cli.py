@@ -178,11 +178,22 @@ def cmd_sweep(args) -> int:
     return 1 if report.violations else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("validate", "analyze", "check", "sweep")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  Given a command, only that subcommand gets its
+    arguments: a parse that runs it reaches no other subcommand's, and the
+    top-level help and usage list subcommands by name and help only."""
     parser = argparse.ArgumentParser(
         prog="pogamma",
         description="Workbench for finite ordered Gamma-semigroups.")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, help, func):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p if command in (None, name) else None
 
     def common(p):
         p.add_argument("--format", choices=("text", "machine"), default="text",
@@ -190,39 +201,38 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="PATH", default=None,
                        help="write the report here instead of stdout")
 
-    p = sub.add_parser("validate", help="check every axiom of a structure file")
-    p.add_argument("path")
-    common(p)
-    p.set_defaults(func=cmd_validate)
+    if p := add("validate", "check every axiom of a structure file", cmd_validate):
+        p.add_argument("path")
+        common(p)
 
-    p = sub.add_parser("analyze", help="witnesses, bi-ideals, and flags for one structure")
-    p.add_argument("path")
-    common(p)
-    p.set_defaults(func=cmd_analyze)
+    if p := add("analyze", "witnesses, bi-ideals, and flags for one structure", cmd_analyze):
+        p.add_argument("path")
+        common(p)
 
-    p = sub.add_parser("check", help="run claim checkers against a structure file")
-    p.add_argument("path")
-    p.add_argument("--theorem", choices=THEOREM_IDS + ("all",), default="all")
-    p.add_argument("--force-violation", action="store_true",
-                   help="testing aid: append a synthetic violation to exercise exit code 1")
-    common(p)
-    p.set_defaults(func=cmd_check)
+    if p := add("check", "run claim checkers against a structure file", cmd_check):
+        p.add_argument("path")
+        p.add_argument("--theorem", choices=THEOREM_IDS + ("all",), default="all")
+        p.add_argument("--force-violation", action="store_true",
+                       help="testing aid: append a synthetic violation to exercise exit code 1")
+        common(p)
 
-    p = sub.add_parser("sweep", help="enumerate structures and check claims on each")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--theorem", choices=THEOREM_IDS + ("all",), default="all")
-    p.add_argument("--canonical", action="store_true",
-                   help="keep one representative per isomorphism class")
-    p.add_argument("--workers", type=int, default=1)
-    common(p)
-    p.set_defaults(func=cmd_sweep)
+    if p := add("sweep", "enumerate structures and check claims on each", cmd_sweep):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--theorem", choices=THEOREM_IDS + ("all",), default="all")
+        p.add_argument("--canonical", action="store_true",
+                       help="keep one representative per isomorphism class")
+        p.add_argument("--workers", type=int, default=1)
+        common(p)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top level takes no option with a value, so the first token that
+    # names a subcommand is the subcommand argparse runs
+    parser = build_parser(next((a for a in argv if a in COMMANDS), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

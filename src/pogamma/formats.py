@@ -8,6 +8,7 @@ files round-trip exactly and machine reports can be diffed across runs.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import get_type_hints
 
@@ -97,36 +98,49 @@ def doc_to_structure(doc) -> tuple[PoGammaSemigroup, str | None]:
     return s, name
 
 
-def _dict_free(value) -> bool:
-    if isinstance(value, dict):
-        return False
-    if isinstance(value, list):
-        return all(_dict_free(v) for v in value)
-    return True
-
-
-def _render(value, indent: int) -> str:
-    # dicts and long lists break across lines; flat numeric lists stay inline
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f'{pad}  {json.dumps(k)}: {_render(v, indent + 1)}' for k, v in value.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(value, list):
-        if _dict_free(value):
-            flat = json.dumps(value, separators=(", ", ": "))
-            if len(flat) <= 72:
-                return flat
-        if not value:
-            return "[]"
-        items = [f"{pad}  {_render(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+def _scalar(value) -> str:
+    """json.dumps(value), with the common types written directly."""
+    t = type(value)
+    if t is str:
+        return encode_basestring_ascii(value)
+    if t is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
     return json.dumps(value)
 
 
+def _render(value, pad: str) -> str:
+    """value as machine JSON at the depth of pad, in one bottom-up pass.
+
+    The layout rule: a non-empty dict breaks across lines, one key per
+    line; a list holding no dict stays on one line when its ", "-joined
+    form fits in 72 characters, and breaks one item per line otherwise.
+    Items render first: a list stays on one line only if every item did
+    and none is an empty dict, so its one-line form is their text joined.
+    """
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [f"{inner}{_scalar(k)}: {_render(v, inner)}" for k, v in value.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, list):
+        inner = pad + "  "
+        items = [_render(v, inner) for v in value]
+        flat = "[" + ", ".join(items) + "]"
+        if len(flat) <= 72 and "\n" not in flat and "{}" not in items:
+            return flat
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    return _scalar(value)
+
+
 def _dumps(doc: dict) -> str:
-    return _render(doc, 0) + "\n"
+    return _render(doc, "") + "\n"
 
 
 def serialize_structure(s: PoGammaSemigroup, name: str | None = None) -> str:

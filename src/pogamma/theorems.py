@@ -181,7 +181,7 @@ def check_thm8(s: PoGammaSemigroup) -> CheckReport:
     op, leq = s.tables.op, s.order.leq
     for a, w in enumerate(o.table.witnesses("strongly-regular")):
         x, g, u = w.first(o.up[a])
-        y, _, _ = thm8_witness(s, a, x, g, u)
+        y = op[g][op[u][x][a]][x]   # thm8_witness's y, for a witness known to hold
         # a <= (a g y) u a and y <= (y u a) g y are plain regularity
         a_ok = leq[a][_regular_rhs(op, a, y, g, u)]
         y_ok = leq[y][_regular_rhs(op, y, a, u, g)]

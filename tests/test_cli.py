@@ -383,3 +383,52 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("ok: min-chain")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help", "check"], ["-h", "validate"], ["bogus"], ["bogus", "check"],
+    ["validate", "-h"], ["analyze", "--help"], ["check", "-h"], ["sweep", "-h"],
+    ["check"], ["sweep", "--n", "1"], ["check", MIN_CHAIN, "--theorem", "nope"],
+    ["check", MIN_CHAIN, "--the", "thm9"], ["check", MIN_CHAIN, "--force-violation"],
+    ["validate", MIN_CHAIN, "--theorem", "prop2"], ["--x", "check", MIN_CHAIN],
+    ["--", "analyze", MIN_CHAIN], ["validate", "check"], ["check", "validate"],
+    ["sweep", "--n", "2", "--m", "1", "--workers", "0"], ["sweep", "--n", "1", "--m", "1"],
+])
+def test_parser_for_one_command_behaves_as_the_full_parser(argv, monkeypatch, capsys):
+    # main adds only the arguments of the subcommand that argv runs
+    from pogamma import cli
+    full = cli.build_parser
+    seen = []
+    for build in (lambda command: full(), full):
+        monkeypatch.setattr(cli, "build_parser", build)
+        seen.append((main([*argv, "--format", "machine"] if MIN_CHAIN in argv else argv),
+                     capsys.readouterr()))
+    assert seen[0] == seen[1]
+
+
+def test_each_call_loads_and_builds_its_own_facts(monkeypatch, capsys):
+    # main keeps nothing across calls
+    from pogamma import setcalc
+    built = []
+
+    class CountedTables(setcalc._TableFacts):
+        def __init__(self, tables):
+            built.append("table")
+            super().__init__(tables)
+
+    class CountedPosets(setcalc._PosetFacts):
+        def __init__(self, order):
+            built.append("poset")
+            super().__init__(order)
+
+    def counted(s):
+        built.append("validate")
+        return validate_structure(s)
+
+    monkeypatch.setattr(formats, "validate_structure", counted)
+    monkeypatch.setattr(setcalc, "_TableFacts", CountedTables)
+    monkeypatch.setattr(setcalc, "_PosetFacts", CountedPosets)
+    for _ in range(2):
+        assert main(["check", MIN_CHAIN, "--format", "machine"]) == 0
+    capsys.readouterr()
+    assert sorted(built) == ["poset"] * 2 + ["table"] * 2 + ["validate"] * 2

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURE_DIR, FIXTURE_FILES, make_min_chain, make_null_table, structure_pool, table_pool
+from pogamma import formats
 from pogamma.enumeration import EnumSpec, SweepReport, SweepViolation, all_partial_orders, sweep
 from pogamma.formats import (
     REPORT_FORMAT,
@@ -235,6 +236,79 @@ def test_flat_lists_stay_inline():
     text = serialize_structure(make_min_chain(), "min-chain")
     assert '"tables": [[[0, 0], [0, 1]]]' in text
     assert '"order": [[1, 1], [0, 1]]' in text
+
+
+# -- the machine layout, against the recursive renderer it replaced ---------
+
+def _dict_free(value) -> bool:
+    if isinstance(value, dict):
+        return False
+    if isinstance(value, list):
+        return all(_dict_free(v) for v in value)
+    return True
+
+
+def _oracle_render(value, indent: int) -> str:
+    # dicts and long lists break across lines; flat numeric lists stay inline
+    pad = "  " * indent
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f'{pad}  {json.dumps(k)}: {_oracle_render(v, indent + 1)}' for k, v in value.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, list):
+        if _dict_free(value):
+            flat = json.dumps(value, separators=(", ", ": "))
+            if len(flat) <= 72:
+                return flat
+        if not value:
+            return "[]"
+        items = [f"{pad}  {_oracle_render(v, indent + 1)}" for v in value]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    return json.dumps(value)
+
+
+def _sized(items, length):
+    """items and one more string, sized so the list's one-line form is
+    `length` characters long when items leave room for it."""
+    short = len(json.dumps([*items, ""], separators=(", ", ": ")))
+    return [*items, "a" * max(0, length - short)]
+
+
+_TEXT = st.text(st.characters() | st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+                max_size=10)
+_LAYOUT_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(min_value=2 ** 63)
+                   | st.integers(max_value=-2 ** 63) | st.floats(allow_nan=False, allow_infinity=False)
+                   | _TEXT)
+_NEAR_72 = st.builds(_sized, st.lists(st.integers(-9, 99) | st.lists(st.integers(0, 9), max_size=3),
+                                      max_size=8),
+                     st.integers(68, 76))
+_LAYOUT_DOCS = st.recursive(
+    _LAYOUT_SCALARS | _NEAR_72,
+    # short keys too, so small dicts turn up inside short lists
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.dictionaries(st.sampled_from("an") | _TEXT, inner, max_size=4)),
+    max_leaves=16)
+
+
+@given(_LAYOUT_DOCS)
+@settings(max_examples=100, deadline=None)
+def test_renderer_matches_the_recursive_oracle(doc):
+    assert formats._dumps(doc) == _oracle_render(doc, 0) + "\n"
+
+
+class _Count(int):
+    pass
+
+
+@pytest.mark.parametrize("doc", [
+    {"at 72": _sized([1, 2], 72), "at 73": _sized([1, 2], 73), "nested": [_sized([], 71)]},
+    {"empty": [{}, [], [[]], [{}]], "deep": [[[{"a": []}]]], "e": {}},
+    # types the common cases do not cover fall back to json.dumps
+    {1: [_Count(5), 2.5, 1e16, -0.0], None: (1, {"x": [2]}), 2.5: ["\u00e9", True, None]},
+])
+def test_renderer_matches_the_oracle_on_edge_cases(doc):
+    assert formats._dumps(doc) == _oracle_render(doc, 0) + "\n"
 
 
 # -- fuzzing: malformed input raises only the documented errors ------------
