@@ -110,8 +110,7 @@ def cmd_analyze(args) -> int:
     s, name = formats.load_named(args.path)
     payload = _analysis_payload(s, name)
     if args.format == "machine":
-        doc = {"format": formats.REPORT_FORMAT, "kind": "analysis", "payload": payload}
-        _emit(formats._dumps(doc), args.out)
+        _emit(formats.serialize_analysis(payload), args.out)
     else:
         _emit(_analysis_text(payload), args.out)
     return 0

@@ -26,15 +26,21 @@ relabelings by the table's automorphisms.  The brute
 `canonical_key`, which relabels whole structures, stays as the test
 oracle.
 
-A sweep, labeled or canonical, walks the canonical stream and
-classifies and checks each canonical structure once.  A labeled sweep
-counts each one n! m! / |Stab| times, the size of its orbit, where the
-stabilizer holds the relabelings that fix both its table and its order;
-the automorphism comparison that picks the minimal orders also records
-which posets each automorphism fixes.  Only the classes a report lists,
-gap examples and violations, are expanded into their labeled images,
-each classified and checked on its own.  The labeled stream is not
-swept; it stays as the oracle of the labeled report.
+A sweep, labeled or canonical, walks the canonical stream and decides
+every canonical structure over a table at once: each classify flag and
+each selected claim's violations is a mask over the table's kept
+posets (setcalc's slice tier, theorems.MASKS), and the tallies are
+popcounts.  A labeled sweep counts each canonical structure
+n! m! / |Stab| times, the size of its orbit, where the stabilizer holds
+the relabelings that fix both its table and its order; the automorphism
+comparison that picks the minimal orders also records which posets each
+automorphism fixes, and the posets are grouped by that weight.  Only the
+structures a report lists, gap examples and violations, are built and
+classified and checked on their own (_tally); a labeled sweep does this
+for each of their labeled images.  So every listed witness comes from
+the per-structure checkers, which stay the oracle of the masks, as the
+labeled stream, which no sweep walks, stays the oracle of the labeled
+report.
 
 A sweep generates the table stream once and maps one per-table tally
 over it, with the builtin map on one worker or a short stream and
@@ -67,10 +73,12 @@ from .model import (
     validate_order,
 )
 
-# m * n^2 table cells; keeps the search at desk scale.  A labeled search
-# lists every table (largest supported: n=3, m=2 and n=4, m=1); a
-# canonical one lists one table per isomorphism class, so it reaches
-# n=3, m=3 and n=5, m=1.
+# m * n^2 table cells; keeps the search at desk scale.  Both sweep modes
+# walk the canonical tables, one per isomorphism class, which reach
+# n=3, m=3 and n=5, m=1 under the canonical guard.  A labeled spec keeps
+# the lower guard (largest supported: n=3, m=2 and n=4, m=1): its sweep
+# also builds every labeled image of each class it lists, and its table
+# stream, the oracle of labeled sweeps, lists every labeled table.
 MAX_TABLE_CELLS = 18
 MAX_CANONICAL_CELLS = 27
 
@@ -106,7 +114,8 @@ class EnumSpec:
         if not self.canonical_only and cells > MAX_TABLE_CELLS:
             raise ValueError(
                 f"m * n^2 = {cells} exceeds the desk-scale guard of {MAX_TABLE_CELLS} for "
-                f"labeled sweeps, which list every table; the largest supported are "
+                f"labeled sweeps, which walk the canonical tables and also build every "
+                f"labeled image of each class they list; the largest supported are "
                 f"n=3, m=2 and n=4, m=1")
 
 
@@ -450,6 +459,17 @@ def classify(s: PoGammaSemigroup) -> dict:
     }
 
 
+def _classify_slice(sl) -> dict:
+    """classify's flags over a slice of posets, each the mask of the
+    posets where it holds."""
+    return {
+        "regular": sl.holds("regular"),
+        "completely_regular": sl.holds("completely-regular"),
+        "strongly_regular": sl.holds("strongly-regular"),
+        "product_property": sl.product_property,
+    }
+
+
 @dataclass
 class SweepViolation:
     structure: PoGammaSemigroup
@@ -503,7 +523,8 @@ def _images(s: PoGammaSemigroup) -> list:
 
 def _tally(spec: EnumSpec, ids, structures, weights=None) -> SweepReport:
     """Tally the structures, each standing for weights[i] isomorphic ones
-    (by default itself alone), from one classify and one checker run.
+    (by default itself alone), from one classify and one checker run: the
+    oracle of the sliced tally, and its path for the structures it lists.
 
     Only a structure the report must list, as a gap example or for a
     violation, and that stands for more than itself, has its images
@@ -532,20 +553,42 @@ def _tally(spec: EnumSpec, ids, structures, weights=None) -> SweepReport:
 
 
 def _table_tally(spec: EnumSpec, ids, t: GammaTables) -> SweepReport:
-    """Tally canonical table t's share of the sweep.  A canonical sweep
-    counts each canonical structure over t once.  A labeled sweep counts
-    it once per structure in its orbit, n! m! / |Stab(S)|, where Stab(S)
-    holds the relabelings that fix both its table and its order
-    (orbit-stabilizer), so each isomorphism class is checked once."""
-    if spec.canonical_only:
-        return _tally(spec, ids, _table_structures(spec, t))
+    """Tally canonical table t's share of the sweep from masks over its
+    kept posets (setcalc._Slice): each classify flag and each selected
+    claim's violations are decided for every poset at once.
+
+    A canonical sweep counts each canonical structure over t once.  A
+    labeled sweep counts it once per structure in its orbit,
+    n! m! / |Stab(S)|, where Stab(S) holds the relabelings that fix both
+    its table and its order (orbit-stabilizer), so the posets are grouped
+    by that weight and each isomorphism class is decided once.  Only the
+    posets the report lists, gap examples and violations, are built as
+    structures and tallied by _tally, so every listed witness is the one
+    the per-structure checkers give; the rest are counted by popcount."""
     # poset 0 is the discrete order, which every relabeling fixes
     keep, fixed = _minimal_orders(t, _compatible_orders(t) if spec.require_order else 1)
-    group = len(_relabelings(t.n, t.m))
-    posets = all_partial_orders(t.n)
-    kept = setcalc._members(keep)
-    return _tally(spec, ids, [PoGammaSemigroup(tables=t, order=posets[i]) for i in kept],
-                  [group // sum(count for mask, count in fixed if mask >> i & 1) for i in kept])
+    if spec.canonical_only:
+        weights = {1: keep}
+    else:
+        group, weights = len(_relabelings(t.n, t.m)), {}
+        for i in setcalc._members(keep):
+            weight = group // sum(count for mask, count in fixed if mask >> i & 1)
+            weights[weight] = weights.get(weight, 0) | 1 << i
+    sl = setcalc._Slice(setcalc._table_facts(t), _poset_columns(t.n), keep)
+    flags = _classify_slice(sl)
+    listed = flags["product_property"] & ~flags["completely_regular"]
+    for tid in ids:
+        listed |= theorems.MASKS[tid](sl)
+    posets, shown = all_partial_orders(t.n), setcalc._members(listed)
+    r = _tally(spec, ids, [PoGammaSemigroup(tables=t, order=posets[i]) for i in shown],
+               [next(w for w, mask in weights.items() if mask >> i & 1) for i in shown])
+    for weight, mask in weights.items():
+        mask &= ~listed
+        r.structures += weight * mask.bit_count()
+        for key, flag in flags.items():
+            setattr(r, f"{key}_structures",
+                    getattr(r, f"{key}_structures") + weight * (flag & mask).bit_count())
+    return r
 
 
 def _merge_partitions(spec: EnumSpec, ids, parts) -> SweepReport:
@@ -567,8 +610,9 @@ def _merge_partitions(spec: EnumSpec, ids, parts) -> SweepReport:
 
 
 def sweep(spec: EnumSpec, theorem_ids=None, workers: int = 1) -> SweepReport:
-    """Tally every structure per spec, running the selected checkers once
-    per isomorphism class.
+    """Tally every structure per spec, deciding each isomorphism class
+    once and running the selected checkers only on the structures the
+    report lists.
 
     Both modes walk the canonical table stream, generated once, here, and
     tally each table on its own (_table_tally): by the builtin map when

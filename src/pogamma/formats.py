@@ -300,3 +300,8 @@ def doc_to_report(doc):
 
 def serialize_report(r) -> str:
     return _dumps(report_to_doc(r))
+
+
+def serialize_analysis(payload: dict) -> str:
+    """An analyze payload as a report document of kind "analysis"."""
+    return _dumps({"format": REPORT_FORMAT, "kind": "analysis", "payload": payload})

@@ -21,8 +21,18 @@ the down-closed subsets.  The structure tier, _OrderFacts, holds what
 needs both: bi-ideals, B(a), the product property and per kind the
 least element without a witness (one exists when the union mask meets
 the up-set of a).  Structures over one table object share its table
-tier, and structures over one order object its poset tier, so a sweep
-builds one per table and one per poset of all_partial_orders(n).
+tier, and each structure tier builds its own poset tier.
+
+A sweep reads no structure tier for most structures.  The slice tier,
+_Slice, holds what one table decides over a set of posets at once, each
+fact the mask of the posets where it holds (poset i of
+all_partial_orders(n) as bit i): per kind, the posets where every
+element has a witness, read from the table tier's witness lists grown
+only until every poset is decided; per BMB-closed B, the posets where B
+is down-closed; and per subset S, the posets where each z lies in (S],
+which also groups the posets by the value of (S].  A sweep builds one
+table tier and one slice per table, and poset and structure tiers only
+for the structures its report lists.
 
 The frozenset functions (downward_closure, set_product, is_bi_ideal,
 semiprime_failure, ...) stay as the definitions, and the tests hold the
@@ -34,7 +44,6 @@ witness lists and up-sets need none of them.
 from __future__ import annotations
 
 import re
-import weakref
 from dataclasses import dataclass
 from itertools import product
 
@@ -425,9 +434,129 @@ class _OrderFacts:
         return self.poset.clo[self.table.AuAMA[a]]
 
 
+class _Slice:
+    """The slice tier: what one table decides over a set of posets at once.
+
+    Poset i of all_partial_orders(n) is bit i of a mask; cols[x*n + y] is
+    the mask of the posets with x <= y, and keep the mask of the posets
+    asked about.  Every fact is the mask of the posets in keep where it
+    holds: holds(kind) where every element has a witness of the kind,
+    bi_ideals the subsets B with BMB inside B and where each is
+    down-closed, inclo[S][z] where z lies in (S], and product_property
+    where every bi-ideal B equals (BB].  The witness lists are the table
+    tier's, grown only until every poset asked about is decided."""
+
+    def __init__(self, table: _TableFacts, cols, keep: int):
+        self.table, self.cols, self.keep, self.n = table, cols, keep, table.n
+        self._holds = {}
+        n = self.n
+        self.inclo = _Lazy(lambda s: [_or_of(cols[z * n:z * n + n], s) for z in range(n)])
+
+    def cover(self, w: _Witnesses, a: int, target: int, pool: int = -1) -> int:
+        """The posets in target where some candidate of a's witness list w,
+        with its element in pool, has its rhs above a."""
+        row = self.cols[a * self.n:(a + 1) * self.n]
+        while True:
+            reach = w.union if pool == -1 else _or_of(w.reach, pool)
+            if reach >> a & 1:   # a <= a on every poset
+                return target
+            missing = target & ~_or_of(row, reach)
+            if not missing or w._scan is None:
+                return target & ~missing
+            up = sum(1 << v for v, col in enumerate(row) if col & missing)
+            if w._grow(up, pool) is None:
+                return target & ~missing
+
+    def holds(self, kind: str) -> int:
+        """The posets where every element has a witness of the kind."""
+        out = self._holds.get(kind)
+        if out is None:
+            out = self.keep
+            for a, w in enumerate(self.table.witnesses(kind)):
+                if not out:
+                    break
+                out = self.cover(w, a, out)
+            self._holds[kind] = out
+        return out
+
+    def firsts(self, w: _Witnesses, a: int, target: int):
+        """The posets of target split by the first candidate of a's witness
+        list w whose rhs lies above a, as (mask, data) in scan order; every
+        poset of target must be one where holds found a witness for a."""
+        row = self.cols[a * self.n:(a + 1) * self.n]
+        for data, v in w.entries:
+            hit = target & row[v]
+            if hit:
+                yield hit, data
+                target &= ~hit
+                if not target:
+                    return
+
+    @_cached
+    def bi_ideals(self) -> list:
+        """(B, the posets where B is down-closed) for each nonempty B with BMB
+        inside B and down-closed somewhere: nothing outside B lies below it."""
+        n, cols, out = self.n, self.cols, []
+        for b in _members(self.table.bmb_closed((1 << (1 << n)) - 2)):
+            below = 0
+            for x in _members(b):
+                for y in range(n):
+                    if not b >> y & 1:
+                        below |= cols[y * n + x]
+            down = self.keep & ~below
+            if down:
+                out.append((b, down))
+        return out
+
+    @_cached
+    def product_property(self) -> int:
+        """Where (BB] = B for every bi-ideal B; B is down-closed there, so
+        (BB] = B exactly where (BB] and (B] agree."""
+        aa, out = self.table.AA, self.keep
+        for b, down in self.bi_ideals:
+            out &= ~down | self.same_closure(aa[b], b)
+        return out
+
+    def same_closure(self, s: int, t: int) -> int:
+        """Where (S] = (T]."""
+        differ = 0
+        for x, y in zip(self.inclo[s], self.inclo[t]):
+            differ |= x ^ y
+        return self.keep & ~differ
+
+    def inside(self, t: int, s: int) -> int:
+        """Where T lies inside (S]."""
+        out = self.keep
+        for z, col in enumerate(self.inclo[s]):
+            if t >> z & 1:
+                out &= col
+        return out
+
+    def closures(self, s: int) -> list:
+        """The posets grouped by the value of (S], as (mask, (S])."""
+        groups = [(self.keep, 0)]
+        for z, col in enumerate(self.inclo[s]):
+            split = []
+            for mask, value in groups:
+                if mask & col:
+                    split.append((mask & col, value | 1 << z))
+                if mask & ~col:
+                    split.append((mask & ~col, value))
+            groups = split
+        return groups
+
+
+def _or_of(masks, bits: int) -> int:
+    """The union of masks[v] over the bits v of a mask."""
+    out = 0
+    for v, mask in enumerate(masks):
+        if bits >> v & 1:
+            out |= mask
+    return out
+
+
 _last_table = (None, None)   # the tables last asked about, and their facts
 _last_order = (None, None)   # the structure last asked about, and its facts
-_posets = {}                 # id(order) -> (weak reference to the order, its poset tier)
 
 
 def _table_facts(tables: GammaTables) -> _TableFacts:
@@ -439,25 +568,13 @@ def _table_facts(tables: GammaTables) -> _TableFacts:
     return _last_table[1]
 
 
-def _poset_facts(order: OrderRelation) -> _PosetFacts:
-    """The poset tier of an order object, found by identity while the object
-    lives: a sweep's structures share the posets of all_partial_orders(n),
-    and a loaded structure brings an order object of its own."""
-    key = id(order)
-    entry = _posets.get(key)
-    if entry is None or entry[0]() is not order:
-        entry = _posets[key] = (weakref.ref(order, lambda _: _posets.pop(key, None)),
-                                _PosetFacts(order))
-    return entry[1]
-
-
 def _facts(s: PoGammaSemigroup) -> _OrderFacts:
-    """The structure tier of s, over its table and poset tiers; found by
-    identity like _table_facts, and built afresh when another structure
-    is asked about."""
+    """The structure tier of s, over its table tier and a poset tier of its
+    own; found by identity like _table_facts, and built afresh when
+    another structure is asked about."""
     global _last_order
     if _last_order[0] is not s:
-        _last_order = (s, _OrderFacts(_table_facts(s.tables), _poset_facts(s.order)))
+        _last_order = (s, _OrderFacts(_table_facts(s.tables), _PosetFacts(s.order)))
     return _last_order[1]
 
 

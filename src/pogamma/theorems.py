@@ -4,11 +4,17 @@ Each checker evaluates one universally quantified claim about bi-ideals
 and regularity on a concrete finite structure and reports pass or a
 violating witness.  Claim ids (prop2 .. thm9) are the stable interface
 used by the CLI filter and by sweep reports; CHECKERS maps each id to
-its one checker, in catalog order.  Checkers read the facts setcalc
-keeps per structure, so each is computed once however many run.
-Equivalence checkers evaluate every side of an equivalence
-independently and compare at the end, so a bug in one side cannot mask
-the other.
+its checker, in catalog order.  Checkers read the facts setcalc keeps
+per structure, so each is computed once however many run.  Equivalence
+checkers evaluate every side of an equivalence independently and
+compare at the end, so a bug in one side cannot mask the other.
+
+MASKS maps each id to the second definition of its claim, next to the
+checker: the same sides over every poset of one table at once (setcalc's
+slice tier), each a mask of posets, compared into the mask of the posets
+where the claim fails.  A sweep reads the masks and runs the checkers
+only on the structures its report lists; the tests hold the two
+definitions against each other poset by poset.
 """
 
 from __future__ import annotations
@@ -60,6 +66,24 @@ def check_prop2(s: PoGammaSemigroup) -> CheckReport:
     return _passed("prop2", "B(x)MB(y) <= (xMy] for all pairs")
 
 
+def mask_prop2(sl) -> int:
+    """check_prop2's violations over a slice, the posets grouped by the
+    values of B(x) and B(y)."""
+    t = sl.table
+    amb, gen = t.amb, t.AuAMA
+    principal = [sl.closures(gen[1 << x]) for x in range(sl.n)]
+    bad = 0
+    for bxs, xM in zip(principal, t.xMy):
+        for bys, xMy in zip(principal, xM):
+            for mx, bx in bxs:
+                for my, by in bys:
+                    both = mx & my
+                    # xMy lies inside (xMy] on every poset
+                    if both and amb[bx, by] & ~xMy:
+                        bad |= both & ~sl.inside(amb[bx, by], xMy)
+    return bad
+
+
 def check_prop3(s: PoGammaSemigroup) -> CheckReport:
     """Regular + left regular + right regular everywhere is the same as
     the one-inequality form a <= (a g1 a) g2 x g3 (a g4 a) everywhere."""
@@ -74,6 +98,12 @@ def check_prop3(s: PoGammaSemigroup) -> CheckReport:
                          f"sides disagree at element {element}")
     state = "hold" if conj else "fail"
     return _passed("prop3", f"both characterizations {state} together")
+
+
+def mask_prop3(sl) -> int:
+    """check_prop3's violations over a slice."""
+    conj = sl.holds("regular") & sl.holds("left-regular") & sl.holds("right-regular")
+    return conj ^ sl.holds("completely-regular")
 
 
 def check_prop4(s: PoGammaSemigroup) -> CheckReport:
@@ -96,6 +126,16 @@ def check_prop4(s: PoGammaSemigroup) -> CheckReport:
         return _violated("prop4", witness, detail)
     state = "holds" if cr else "fails"
     return _passed("prop4", f"each side {state}: equivalence intact")
+
+
+def mask_prop4(sl) -> int:
+    """check_prop4's violations over a slice: every bi-ideal is semiprime
+    where no B that fails to be is down-closed."""
+    all_semiprime = sl.keep
+    for b, down in sl.bi_ideals:
+        if sl.table.semiprime_failure(b) is not None:
+            all_semiprime &= ~down
+    return sl.holds("completely-regular") ^ all_semiprime
 
 
 def check_prop5(s: PoGammaSemigroup) -> CheckReport:
@@ -124,6 +164,21 @@ def check_prop5(s: PoGammaSemigroup) -> CheckReport:
     return _passed("prop5", f"all three conditions {state} together")
 
 
+def mask_prop5(sl) -> int:
+    """check_prop5's violations over a slice, comparing (A u AMA] for
+    A = a, aa and aaMaa poset by poset."""
+    t = sl.table
+    gen = t.AuAMA
+    chain = pair = sl.keep
+    for a in range(sl.n):
+        b_a, b_aa, b_big = gen[1 << a], gen[t.pe[a][a]], gen[t.aaMaa[a]]
+        same = sl.same_closure(b_a, b_aa)
+        pair &= same
+        chain &= same & sl.same_closure(b_aa, b_big)
+    cr = sl.holds("completely-regular")
+    return (cr ^ chain) | (cr ^ pair)
+
+
 def check_prop6_forward(s: PoGammaSemigroup) -> CheckReport:
     """Complete regularity forces B = (BB] for every bi-ideal B."""
     if is_completely_regular(s) is not None:
@@ -133,6 +188,11 @@ def check_prop6_forward(s: PoGammaSemigroup) -> CheckReport:
         return _violated("prop6-forward", {"bi_ideal": sorted(product_fail)},
                          f"bi-ideal {sorted(product_fail)} differs from (BB]")
     return _passed("prop6-forward", "forward direction applies")
+
+
+def mask_prop6_forward(sl) -> int:
+    """check_prop6_forward's violations over a slice."""
+    return sl.holds("completely-regular") & ~sl.product_property
 
 
 def check_prop6_converse(s: PoGammaSemigroup) -> CheckReport:
@@ -147,6 +207,11 @@ def check_prop6_converse(s: PoGammaSemigroup) -> CheckReport:
     return _passed("prop6-converse", "converse direction applies")
 
 
+def mask_prop6_converse(sl) -> int:
+    """check_prop6_converse's violations over a slice."""
+    return sl.product_property & ~sl.holds("regular")
+
+
 def check_remark7(s: PoGammaSemigroup) -> CheckReport:
     """Strong regularity implies complete regularity."""
     if is_strongly_regular(s) is not None:
@@ -156,6 +221,11 @@ def check_remark7(s: PoGammaSemigroup) -> CheckReport:
         return _violated("remark7", {"element": cr_fail},
                          f"strongly regular but element {cr_fail} is not completely regular")
     return _passed("remark7", "strongly regular and completely regular")
+
+
+def mask_remark7(sl) -> int:
+    """check_remark7's violations over a slice."""
+    return sl.holds("strongly-regular") & ~sl.holds("completely-regular")
 
 
 def thm8_witness(s: PoGammaSemigroup, a: int, x: int, g: int, u: int) -> tuple[int, int, int]:
@@ -194,6 +264,21 @@ def check_thm8(s: PoGammaSemigroup) -> CheckReport:
     return _passed("thm8", "derived witnesses verified for every element")
 
 
+def mask_thm8(sl) -> int:
+    """check_thm8's violations over a slice: per element, the strongly
+    regular posets split by the witness check_thm8 derives from."""
+    op, cols, n = sl.table.op, sl.cols, sl.n
+    strong = sl.holds("strongly-regular")
+    bad = 0
+    for a, w in enumerate(sl.table.witnesses("strongly-regular")):
+        for hit, (x, g, u) in sl.firsts(w, a, strong):
+            y = op[g][op[u][x][a]][x]
+            ok = (cols[a * n + _regular_rhs(op, a, y, g, u)]
+                  & cols[y * n + _regular_rhs(op, y, a, u, g)])
+            bad |= hit & ~ok if _commute(op, a, y, g, u) else hit
+    return bad
+
+
 def check_thm9(s: PoGammaSemigroup) -> CheckReport:
     """Strong regularity, condition (2), and condition (3) coincide.
 
@@ -227,6 +312,30 @@ def check_thm9(s: PoGammaSemigroup) -> CheckReport:
     return _passed("thm9", f"all three conditions {state} together")
 
 
+def mask_thm9(sl) -> int:
+    """check_thm9's violations over a slice, the posets grouped by the
+    value of (M a M]."""
+    t = sl.table
+    ws = t.witnesses("strongly-regular")
+    not_sub, sub_ok = 0, sl.keep
+    for a in range(sl.n):
+        for mask, span in sl.closures(t.MaM[a]):
+            if t.AA[span] & ~span:
+                not_sub |= mask
+                continue
+            within = mask
+            for b in _members(span):
+                within = sl.cover(ws[b], b, within, span)
+            sub_ok &= ~mask | within
+    b1 = sl.holds("strongly-regular")
+    b2 = sl.holds("left-regular") & sl.holds("right-regular") & sub_ok
+    sided = sl.keep
+    for a in range(sl.n):
+        sided &= sl.inclo[t.Ma[a]][a] & sl.inclo[t.am[1 << a]][a]
+    b3 = sided & sub_ok
+    return not_sub | (b1 ^ b2) | (b1 ^ b3)
+
+
 CHECKERS = {
     "prop2": check_prop2,
     "prop3": check_prop3,
@@ -239,6 +348,18 @@ CHECKERS = {
     "thm9": check_thm9,
 }
 THEOREM_IDS = tuple(CHECKERS)
+
+MASKS = {
+    "prop2": mask_prop2,
+    "prop3": mask_prop3,
+    "prop4": mask_prop4,
+    "prop5": mask_prop5,
+    "prop6-forward": mask_prop6_forward,
+    "prop6-converse": mask_prop6_converse,
+    "remark7": mask_remark7,
+    "thm8": mask_thm8,
+    "thm9": mask_thm9,
+}
 
 
 def run_selected(s: PoGammaSemigroup, ids) -> list[CheckReport]:

@@ -1,7 +1,9 @@
 """Table and order generation, canonicalization, and sweep plumbing."""
 
 import hashlib
+import random
 from collections import Counter
+from functools import lru_cache
 from itertools import permutations, product, starmap
 from math import factorial
 
@@ -419,8 +421,9 @@ def test_labeled_sweep_equals_the_brute_tally(n, m, require_order):
 def test_labeled_sweep_lists_each_image_of_a_violated_class(monkeypatch):
     # no real sweep reports a violation, so plant one on every structure
     # that is not completely regular, with that structure's own least
-    # failing element as the witness
-    checks = dict(theorems.CHECKERS)
+    # failing element as the witness, in both definitions of the claim:
+    # its mask, which picks the posets a sweep builds, and its checker
+    checks, masks = dict(theorems.CHECKERS), dict(theorems.MASKS)
 
     def planted(s):
         a = setcalc.is_completely_regular(s)
@@ -428,7 +431,11 @@ def test_labeled_sweep_lists_each_image_of_a_violated_class(monkeypatch):
             return checks["thm8"](s)
         return theorems._violated("thm8", {"a": a}, "planted")
 
+    def planted_mask(sl):
+        return masks["thm8"](sl) | sl.keep & ~sl.holds("completely-regular")
+
     monkeypatch.setitem(theorems.CHECKERS, "thm8", planted)
+    monkeypatch.setitem(theorems.MASKS, "thm8", planted_mask)
     for spec in (LABELED_SPEC_2_2, EnumSpec(3, 1, canonical_only=False)):
         report, brute = sweep(spec), _brute_sweep(spec)
         assert report == brute
@@ -457,9 +464,10 @@ def test_labeled_sweep_checks_each_class_once(monkeypatch):
     report = sweep(LABELED_SPEC_3_2)
     assert report.structures == 3203
     assert report.product_without_cr == 0 and report.violations == []
-    # the canonical tables only, and one checker run per class: none is listed
+    # the canonical tables only, each class decided once over its table's
+    # slice, and checkers run only for the classes the report lists: none
     assert walked == [EnumSpec(3, 2, canonical_only=True)]
-    assert len(checked) == 371
+    assert checked == []
 
 
 def test_sweep_caps_workers_at_the_cpu_count(monkeypatch):
@@ -509,22 +517,20 @@ def test_sweep_generates_the_table_stream_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_sweep_scans_each_witness_and_lists_bi_ideals_once_per_structure(monkeypatch, capsys):
-    # fact tiers and witness lists, counted over a canonical sweep.  Every
-    # structure over one table shares one table tier, which makes each
-    # (element, kind) witness list once and scans each of its candidates
-    # at most once; every structure over one poset object of
-    # all_partial_orders shares one poset tier; each structure builds one
-    # structure tier and grows a list over the whole universe at most once
-    # per (element, kind), so at most 5n times.  thm9's growth within
-    # (M a M] passes a subset pool and is not counted.  The bi-ideal
-    # listing, every checker and analyze read the tables, so the frozenset
-    # definitions (every one goes through set_product or downward_closure)
-    # are never called.
-    table_tiers, order_tiers, lists, scanned, grows = (Counter() for _ in range(5))
-    poset_tiers = []   # (order, tier) per poset tier built
+def test_sweep_scans_each_witness_once_and_builds_only_listed_structures(monkeypatch, capsys):
+    # fact tiers and witness lists, counted over a canonical sweep.  Each
+    # table builds one table tier, which makes each (element, kind)
+    # witness list once and scans each of its candidates at most once, and
+    # its slice decides every kept poset at once from them.  Only a
+    # structure the report lists, here the 12 gap examples of (4, 1),
+    # builds a poset tier and a structure tier.  The slice, every checker
+    # and analyze read the bitmask tables, so the frozenset definitions
+    # (every one goes through set_product or downward_closure) are never
+    # called.
+    table_tiers, lists, scanned = (Counter() for _ in range(3))
+    poset_tiers = []       # (order, tier) per poset tier built
+    structure_tiers = []   # (table tier, poset tier) per structure tier built
     frozenset_calls = Counter()
-    current = [None]   # the structure classify was last called on
 
     def counted(name):
         definition = getattr(setcalc, name)
@@ -538,10 +544,6 @@ def test_sweep_scans_each_witness_and_lists_bi_ideals_once_per_structure(monkeyp
         for name in ("set_product", "downward_closure"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name))
-
-    def tracked_classify(s):
-        current[0] = s
-        return classify(s)
 
     def counted_scan(scan, key):
         for candidate in scan:
@@ -560,7 +562,7 @@ def test_sweep_scans_each_witness_and_lists_bi_ideals_once_per_structure(monkeyp
 
     class CountedOrders(setcalc._OrderFacts):
         def __init__(self, table, poset):
-            order_tiers[table, poset] += 1
+            structure_tiers.append((table, poset))
             super().__init__(table, poset)
 
     class CountedWitnesses(setcalc._Witnesses):
@@ -572,37 +574,27 @@ def test_sweep_scans_each_witness_and_lists_bi_ideals_once_per_structure(monkeyp
             super().__init__(op, n, m, a, kind)
             self._scan = counted_scan(self._scan, key)
 
-        def _grow(self, up, pool):
-            if pool == -1:
-                grows[current[0]] += 1
-            return super()._grow(up, pool)
-
-    monkeypatch.setattr(enumeration, "classify", tracked_classify)
     monkeypatch.setattr(setcalc, "_TableFacts", CountedTables)
     monkeypatch.setattr(setcalc, "_PosetFacts", CountedPosets)
-    monkeypatch.setattr(setcalc, "_posets", {})   # no poset tier left by an earlier test
     monkeypatch.setattr(setcalc, "_OrderFacts", CountedOrders)
     monkeypatch.setattr(setcalc, "_Witnesses", CountedWitnesses)
-    spec = EnumSpec(3, 1)
-    assert sweep(spec).structures == 173
-    # one table tier per table, at most one poset tier per poset object,
-    # and one structure tier per structure over the two
+    spec = EnumSpec(4, 1)
+    report = sweep(spec)
+    assert report.structures == 4753 and report.violations == []
+    # one table tier per table, and one structure tier per listed structure
+    # (each table's list is cut to SWEEP_EXAMPLE_CAP only at the merge),
+    # each over a poset tier of its own for a poset of all_partial_orders
     assert sorted(table_tiers) == sorted(t.op for t in enumerate_tables(spec))
     assert set(table_tiers.values()) == {1}
-    posets = all_partial_orders(3)
+    assert len(structure_tiers) == report.product_without_cr == 12
+    assert [poset for _, poset in structure_tiers] == [tier for _, tier in poset_tiers]
+    posets = all_partial_orders(4)
     swept = [order for order, _ in poset_tiers]
-    assert 0 < len(swept) <= len(posets)
-    assert len({id(order) for order in swept}) == len(swept)
     assert all(any(order is p for p in posets) for order in swept)
-    assert len(order_tiers) == 173
-    assert set(order_tiers.values()) == {1}
     assert lists and set(lists.values()) == {1}
     for (op, a, kind), count in scanned.items():
         letters = setcalc._INEQUALITIES[kind][0]
-        assert count <= 3 * len(op) ** letters
-    # most structures find every answer in lists grown for an earlier order
-    assert 0 < len(grows) < 173 // 2
-    assert max(grows.values()) <= 5 * 3
+        assert count <= spec.n * len(op) ** letters
     assert not frozenset_calls
     # a loaded structure brings its own order object, so each call builds
     # its own poset tier and no call reads another call's
@@ -708,15 +700,99 @@ def test_sweep_fills_the_posets_before_the_pool_forks(monkeypatch):
     assert filled == [1]
 
 
+@lru_cache(maxsize=None)
+def _census_tables():
+    return tuple(enumerate_tables(EnumSpec(5, 1)))
+
+
 def test_five_element_census_slice():
     # OEIS A001035 gives 4231 posets on 5 elements and A027851 1915
     # semigroups of order 5 up to isomorphism; every tenth canonical
     # table then carries 20,675 canonical structures (198,838 over all)
     assert len(all_partial_orders(5)) == 4231
-    spec = EnumSpec(5, 1)
-    tables = list(enumerate_tables(spec))
+    tables = _census_tables()
     assert len(tables) == 1915
+    spec = EnumSpec(5, 1)
     assert sum(1 for t in tables[::10] for _ in enumeration._table_structures(spec, t)) == 20675
+
+
+def _bits(mask, i):
+    return bool(mask >> i & 1)
+
+
+def _mask(members):
+    return sum(1 << x for x in members)
+
+
+def _assert_slice_matches_each_structure(t, keep):
+    # the sliced flags against classify and each claim's violation mask
+    # against its checker, poset by poset, and each side the masks read:
+    # the witness kinds, the bi-ideals, the product property and every
+    # closure (S], which gives B(a), B(aa), B(aaMaa), (M a M], (M a],
+    # (a M] and (x M y]; returns the violation masks
+    n = t.n
+    posets = all_partial_orders(n)
+    sl = setcalc._Slice(setcalc._TableFacts(t), enumeration._poset_columns(n), keep)
+    flags = enumeration._classify_slice(sl)
+    masks = {tid: mask(sl) for tid, mask in theorems.MASKS.items()}
+    holds = {kind: sl.holds(kind) for kind in setcalc.REGULARITY_KINDS}
+    closures = {s: sl.closures(s) for s in sl.inclo}
+    for i in setcalc._members(keep):
+        s = PoGammaSemigroup(tables=t, order=posets[i])
+        assert {key: _bits(flag, i) for key, flag in flags.items()} == classify(s)
+        assert {tid: _bits(mask, i) for tid, mask in masks.items()} == \
+            {r.theorem_id: r.status == "violation" for r in theorems.run_all(s)}
+        for kind, mask in holds.items():
+            assert _bits(mask, i) == (setcalc._least_without(s, kind) is None)
+        # the bi-ideals and the closures against the structure's own fact
+        # tiers, which the setcalc tests hold against is_bi_ideal and
+        # downward_closure; the product property and B(a) against the
+        # frozenset definitions themselves
+        bi_ideals = setcalc.all_bi_ideals(s)
+        assert [b for b, down in sl.bi_ideals if _bits(down, i)] == [_mask(b) for b in bi_ideals]
+        assert _bits(sl.product_property, i) == all(
+            setcalc.downward_closure(s, setcalc.set_product(s, b, b)) == b for b in bi_ideals)
+        clo = setcalc._facts(s).poset.clo
+        for value, groups in closures.items():
+            assert [v for mask, v in groups if _bits(mask, i)] == [clo[value]]
+        assert [next(v for mask, v in closures[sl.table.AuAMA[1 << a]] if _bits(mask, i))
+                for a in range(n)] == \
+            [_mask(setcalc.bi_ideal_generated_formula(s, {a})) for a in range(n)]
+    # nothing is decided for a poset outside keep
+    assert all(not mask & ~keep for mask in (*flags.values(), *masks.values()))
+    return masks
+
+
+@pytest.mark.parametrize("n,m", CENSUS)
+def test_sliced_facts_match_each_structure(n, m):
+    spec = EnumSpec(n, m)
+    for t in enumerate_tables(spec):
+        keep = enumeration._minimal_orders(t, enumeration._compatible_orders(t))[0]
+        _assert_slice_matches_each_structure(t, keep)
+
+
+def test_sliced_facts_match_each_structure_on_the_census_slice():
+    for t in _census_tables()[::10]:
+        keep = enumeration._minimal_orders(t, enumeration._compatible_orders(t))[0]
+        _assert_slice_matches_each_structure(t, keep)
+
+
+def test_claim_masks_match_the_checkers_where_claims_fail():
+    # no structure a sweep meets violates a claim, so the masks are also
+    # held against the checkers on every raw fill at (2, 1) and (2, 2) and
+    # a seeded sample at (3, 1), none of them need be associative, with
+    # every poset; there every claim fails somewhere
+    rng = random.Random(5)
+    fills = [*product(range(2), repeat=4), *product(range(2), repeat=8),
+             *(tuple(rng.randrange(3) for _ in range(9)) for _ in range(300))]
+    failed = Counter()
+    for cells in fills:
+        n = 2 if len(cells) < 9 else 3
+        t = enumeration._tables_from_cells(cells, n, len(cells) // (n * n))
+        keep = (1 << len(all_partial_orders(n))) - 1
+        for tid, mask in _assert_slice_matches_each_structure(t, keep).items():
+            failed[tid] += mask.bit_count()
+    assert set(failed) == set(theorems.THEOREM_IDS) and all(failed.values())
 
 
 def test_sweep_runs_a_short_table_stream_in_process(monkeypatch):
