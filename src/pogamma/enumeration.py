@@ -29,7 +29,7 @@ oracle.
 A sweep, labeled or canonical, walks the canonical stream and decides
 every canonical structure over a table at once: each classify flag and
 each selected claim's violations is a mask over the table's kept
-posets (setcalc's slice tier, theorems.MASKS), and the tallies are
+posets (setcalc's slice, theorems.MASKS), and the tallies are
 popcounts.  A labeled sweep counts each canonical structure
 n! m! / |Stab| times, the size of its orbit, where the stabilizer holds
 the relabelings that fix both its table and its order; the automorphism
@@ -366,11 +366,12 @@ def _relabelings(n: int, m: int) -> tuple:
 def _table_automorphisms(t: GammaTables) -> dict:
     """Per order map (as order_src) of the relabelings that fix the table,
     how many of them induce it; the identity map comes first and counts
-    the letter maps that fix the table with every element in place."""
+    the letter maps that fix the table with every element in place.  Each
+    relabeled cell is compared as it is made, up to the first difference."""
     cells = tuple(v for table in t.op for row in table for v in row)
     autos = {}
     for pi, table_src, order_src in _relabelings(t.n, t.m):
-        if tuple(pi[cells[j]] for j in table_src) == cells:
+        if all(pi[cells[j]] == c for j, c in zip(table_src, cells)):
             autos[order_src] = autos.get(order_src, 0) + 1
     return autos
 

@@ -8,22 +8,20 @@ product through the whole universe M.
 
 classify, the checkers and the CLI's analyze read every fact from
 bitmask tables (element i is bit i, and subset B is bit B of a mask over
-subsets) kept in three tiers.  The table tier, _TableFacts, holds what
-the products alone decide: x g y over every letter, the products xB and
-AM, the fixed products the checkers read, the subset maps AA, A u AMA,
-AMB and BMB inside B, and for each element and regularity kind a
-witness list.  Each regularity notion is an inequality a <= rhs with rhs
-a product, so the list holds the candidates of the scan, in scan order,
-that bring a new value of rhs, with the union mask of the values scanned
-so far; a list grows only as far as a query needs.  The poset tier,
-_PosetFacts, holds what the order alone decides: up-sets, closures and
-the down-closed subsets.  The structure tier, _OrderFacts, holds what
-needs both: bi-ideals, B(a), the product property and per kind the
-least element without a witness (one exists when the union mask meets
-the up-set of a).  Structures over one table object share its table
-tier, and each structure tier builds its own poset tier.
+subsets) kept in two tiers.  The table tier, _TableFacts, holds what the
+products alone decide: x g y over every letter, the products xB and AM,
+the fixed products the checkers read, the subset maps AA, A u AMA and
+AMB, and for each element and regularity kind a witness list.  Each
+regularity notion is an inequality a <= rhs with rhs a product, so the
+list holds the candidates of the scan, in scan order, that bring a new
+value of rhs, with the union mask of the values scanned so far; a list
+grows only as far as a query needs.  The structure tier, _OrderFacts,
+holds what the order decides, alone or with the products: up-sets,
+closures, bi-ideals, B(a), the product property and per kind the least
+element without a witness (one exists when the union mask meets the
+up-set of a).  Structures over one table object share its table tier.
 
-A sweep reads no structure tier for most structures.  The slice tier,
+A sweep reads no structure tier for most structures.  The slice,
 _Slice, holds what one table decides over a set of posets at once, each
 fact the mask of the posets where it holds (poset i of
 all_partial_orders(n) as bit i): per kind, the posets where every
@@ -31,8 +29,8 @@ element has a witness, read from the table tier's witness lists grown
 only until every poset is decided; per BMB-closed B, the posets where B
 is down-closed; and per subset S, the posets where each z lies in (S],
 which also groups the posets by the value of (S].  A sweep builds one
-table tier and one slice per table, and poset and structure tiers only
-for the structures its report lists.
+table tier and one slice per table, and a structure tier only for each
+structure its report lists.
 
 The frozenset functions (downward_closure, set_product, is_bi_ideal,
 semiprime_failure, ...) stay as the definitions, and the tests hold the
@@ -303,9 +301,9 @@ class _TableFacts:
     AM; xMy[x][y], Ma[a], MaM[a] and aaMaa[a] are the fixed products of
     prop2, thm9 and prop5; witnesses(kind)[a] is a's witness list.  The
     subset maps AA[A], AuAMA[A] = A u AMA and amb[A, B] = AMB keep each
-    value the orders over the table ask for, and bmb_closed(wanted)
-    picks the subsets B of a mask with BMB inside B, testing each B once
-    per table.  The subset tables and products are built on first use."""
+    value asked for, and bmb_closed(wanted) picks the subsets B of a mask
+    with BMB inside B.  The subset tables and products are built on first
+    use."""
 
     def __init__(self, tables: GammaTables):
         n, op = tables.n, tables.op
@@ -317,7 +315,6 @@ class _TableFacts:
                 for y, z in enumerate(row):
                     self.pe[x][y] |= 1 << z
         self._witnesses = {}
-        self._bmb_known = self._bmb_closed = 0
 
     def witnesses(self, kind: str) -> list:
         ws = self._witnesses.get(kind)
@@ -353,7 +350,8 @@ class _TableFacts:
         left, am = self.left, self.am
         return [_mul(left, _mul(left, am[self.pe[a][a]], 1 << a), 1 << a) for a in range(self.n)]
 
-    # the maps hold the rows, not self, so no cycle keeps a table tier alive
+    # the maps hold the rows, not self, so no cycle keeps a table tier alive;
+    # about two reads in three hit over a (4, 1) sweep's slices
     @_cached
     def AA(self) -> dict:
         left = self.left
@@ -371,71 +369,55 @@ class _TableFacts:
 
     def bmb_closed(self, wanted: int) -> int:
         """The subsets B in the mask wanted (subset B as bit B) with BMB inside B."""
-        todo = wanted & ~self._bmb_known
-        if todo:
-            left, am, self._bmb_known = self.left, self.am, self._bmb_known | todo
-            closed = (b for b in _members(todo) if not _mul(left, am[b], b) & ~b)
-            self._bmb_closed |= _mask_of(closed, 1 << self.n)
-        return wanted & self._bmb_closed
+        left, am = self.left, self.am
+        closed = (b for b in _members(wanted) if not _mul(left, am[b], b) & ~b)
+        return _mask_of(closed, 1 << self.n)
 
     def semiprime_failure(self, b: int):
         """Least a outside B with aa inside B, or None when B is semiprime."""
         return next((a for a, row in enumerate(self.pe) if not (b >> a & 1 or row[a] & ~b)), None)
 
 
-class _PosetFacts:
-    """The poset tier: what the order alone decides.  up[a] is the mask
-    of the v with a <= v, clo[A] is (A], and down_closed is the mask of
-    the subsets B with (B] = B, subset B as bit B.  up needs no subset
-    table; clo and down_closed are built on first use."""
+class _OrderFacts:
+    """The structure tier, over the table tier of one structure and its
+    order: up[a] is the mask of the v with a <= v, clo[A] is (A],
+    bi_ideals lists every bi-ideal B, ascending (nonempty, down-closed and
+    BMB inside B), principal[a] is B(a) and product_failure the first B
+    with (BB] != B; least[kind] is the least element without a witness of
+    the kind (n when there is none), kept by _least_without.  up needs no
+    subset table; the rest is built on first use."""
 
-    def __init__(self, order: OrderRelation):
-        self.n, self.leq = order.n, order.leq
+    def __init__(self, table: _TableFacts, order: OrderRelation):
+        self.table, self.leq = table, order.leq
         self.up = _bit_masks(order.leq)
+        self.least = {}   # classify, the checkers and analyze ask for the same kinds
 
     @_cached
     def clo(self) -> list:
-        return _union_table(_subset_table_size(self.n), _bit_masks(zip(*self.leq)))
-
-    @_cached
-    def down_closed(self) -> int:
-        clo = self.clo
-        return _mask_of((b for b, c in enumerate(clo) if c == b), len(clo))
-
-
-class _OrderFacts:
-    """The structure tier, over the table tier and the poset tier of one
-    structure: bi_ideals lists every bi-ideal B, ascending (nonempty,
-    down-closed and BMB inside B), principal[a] is B(a) and
-    product_failure the first B with (BB] != B; least[kind] is the least
-    element without a witness of the kind (n when there is none), kept by
-    _least_without."""
-
-    def __init__(self, table: _TableFacts, poset: _PosetFacts):
-        self.table, self.poset, self.up = table, poset, poset.up
-        self.least = {}
+        return _union_table(_subset_table_size(self.table.n), _bit_masks(zip(*self.leq)))
 
     @_cached
     def bi_ideals(self) -> tuple:
-        return tuple(_members(self.table.bmb_closed(self.poset.down_closed & ~1)))
+        down_closed = _mask_of((b for b, c in enumerate(self.clo) if c == b), len(self.clo))
+        return tuple(_members(self.table.bmb_closed(down_closed & ~1)))
 
     @_cached
     def principal(self) -> tuple:
-        clo, gen = self.poset.clo, self.table.AuAMA
+        clo, gen = self.clo, self.table.AuAMA
         return tuple(clo[gen[1 << a]] for a in range(self.table.n))
 
     @_cached
     def product_failure(self):
-        clo, aa = self.poset.clo, self.table.AA
+        clo, aa = self.clo, self.table.AA
         return next((b for b in self.bi_ideals if clo[aa[b]] != b), None)
 
     def generated(self, a: int) -> int:
         """(A u AMA], the bi-ideal generated by a nonempty A"""
-        return self.poset.clo[self.table.AuAMA[a]]
+        return self.clo[self.table.AuAMA[a]]
 
 
 class _Slice:
-    """The slice tier: what one table decides over a set of posets at once.
+    """The slice: what one table decides over a set of posets at once.
 
     Poset i of all_partial_orders(n) is bit i of a mask; cols[x*n + y] is
     the mask of the posets with x <= y, and keep the mask of the posets
@@ -555,8 +537,8 @@ def _or_of(masks, bits: int) -> int:
     return out
 
 
-_last_table = (None, None)   # the tables last asked about, and their facts
-_last_order = (None, None)   # the structure last asked about, and its facts
+_last_table = (None, None)   # a table's listed structures reread the witness lists its slice grew
+_last_order = (None, None)   # classify, the checkers and analyze pass one structure object
 
 
 def _table_facts(tables: GammaTables) -> _TableFacts:
@@ -569,12 +551,11 @@ def _table_facts(tables: GammaTables) -> _TableFacts:
 
 
 def _facts(s: PoGammaSemigroup) -> _OrderFacts:
-    """The structure tier of s, over its table tier and a poset tier of its
-    own; found by identity like _table_facts, and built afresh when
-    another structure is asked about."""
+    """The structure tier of s, over its table tier; found by identity like
+    _table_facts, and built afresh when another structure is asked about."""
     global _last_order
     if _last_order[0] is not s:
-        _last_order = (s, _OrderFacts(_table_facts(s.tables), _PosetFacts(s.order)))
+        _last_order = (s, _OrderFacts(_table_facts(s.tables), s.order))
     return _last_order[1]
 
 

@@ -11,7 +11,7 @@ compare at the end, so a bug in one side cannot mask the other.
 
 MASKS maps each id to the second definition of its claim, next to the
 checker: the same sides over every poset of one table at once (setcalc's
-slice tier), each a mask of posets, compared into the mask of the posets
+slice), each a mask of posets, compared into the mask of the posets
 where the claim fails.  A sweep reads the masks and runs the checkers
 only on the structures its report lists; the tests hold the two
 definitions against each other poset by poset.
@@ -55,7 +55,7 @@ def _violated(tid: str, witness: dict, detail: str) -> CheckReport:
 def check_prop2(s: PoGammaSemigroup) -> CheckReport:
     """B(x) M B(y) <= (x M y] for all elements x, y."""
     o = _facts(s)
-    amb, clo, principal = o.table.amb, o.poset.clo, o.principal
+    amb, clo, principal = o.table.amb, o.clo, o.principal
     for x, (bx, xM) in enumerate(zip(principal, o.table.xMy)):
         for y, (by, xMy) in enumerate(zip(principal, xM)):
             extra = amb[bx, by] & ~clo[xMy]
@@ -289,7 +289,7 @@ def check_thm9(s: PoGammaSemigroup) -> CheckReport:
     a failure there is reported as a violation outright.
     """
     o = _facts(s)
-    t, clo = o.table, o.poset.clo
+    t, clo = o.table, o.clo
     b1 = is_strongly_regular(s) is None
     sub_ok, tested = True, set()
     for a in range(s.n):

@@ -416,10 +416,10 @@ def test_each_call_loads_and_builds_its_own_facts(monkeypatch, capsys):
             built.append("table")
             super().__init__(tables)
 
-    class CountedPosets(setcalc._PosetFacts):
-        def __init__(self, order):
-            built.append("poset")
-            super().__init__(order)
+    class CountedOrders(setcalc._OrderFacts):
+        def __init__(self, table, order):
+            built.append("structure")
+            super().__init__(table, order)
 
     def counted(s):
         built.append("validate")
@@ -427,8 +427,8 @@ def test_each_call_loads_and_builds_its_own_facts(monkeypatch, capsys):
 
     monkeypatch.setattr(formats, "validate_structure", counted)
     monkeypatch.setattr(setcalc, "_TableFacts", CountedTables)
-    monkeypatch.setattr(setcalc, "_PosetFacts", CountedPosets)
+    monkeypatch.setattr(setcalc, "_OrderFacts", CountedOrders)
     for _ in range(2):
         assert main(["check", MIN_CHAIN, "--format", "machine"]) == 0
     capsys.readouterr()
-    assert sorted(built) == ["poset"] * 2 + ["table"] * 2 + ["validate"] * 2
+    assert sorted(built) == ["structure"] * 2 + ["table"] * 2 + ["validate"] * 2

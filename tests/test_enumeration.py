@@ -138,13 +138,17 @@ def _cells(t):
                                          (4, 1, 3492), (3, 3, 1397)])
 def test_labeled_table_count_is_the_orbit_sum_of_canonical_tables(n, m, labeled):
     # orbit-stabilizer over S_n x S_m, each stabilizer counted directly
+    # from images built in full, which also holds _table_automorphisms
+    # (stopping each image at its first differing cell) to the brute count
     group = enumeration._relabelings(n, m)
     assert len(group) == factorial(n) * factorial(m)
     orbit_sum = 0
     for t in enumerate_tables(EnumSpec(n, m)):
         cells = _cells(t)
-        stabilizer = sum(tuple(pi[cells[j]] for j in src) == cells for pi, src, _ in group)
-        orbit_sum += len(group) // stabilizer
+        stabilizer = Counter(order_src for pi, src, order_src in group
+                             if tuple(pi[cells[j]] for j in src) == cells)
+        assert list(enumeration._table_automorphisms(t).items()) == list(stabilizer.items())
+        orbit_sum += len(group) // stabilizer.total()
     assert orbit_sum == labeled
     if n * n * m <= MAX_TABLE_CELLS:
         assert len(table_pool(n, m)) == labeled
@@ -523,13 +527,11 @@ def test_sweep_scans_each_witness_once_and_builds_only_listed_structures(monkeyp
     # witness list once and scans each of its candidates at most once, and
     # its slice decides every kept poset at once from them.  Only a
     # structure the report lists, here the 12 gap examples of (4, 1),
-    # builds a poset tier and a structure tier.  The slice, every checker
-    # and analyze read the bitmask tables, so the frozenset definitions
-    # (every one goes through set_product or downward_closure) are never
-    # called.
+    # builds a structure tier.  The slice, every checker and analyze read
+    # the bitmask tables, so the frozenset definitions (every one goes
+    # through set_product or downward_closure) are never called.
     table_tiers, lists, scanned = (Counter() for _ in range(3))
-    poset_tiers = []       # (order, tier) per poset tier built
-    structure_tiers = []   # (table tier, poset tier) per structure tier built
+    structure_tiers = []   # (order, tier) per structure tier built
     frozenset_calls = Counter()
 
     def counted(name):
@@ -555,15 +557,10 @@ def test_sweep_scans_each_witness_once_and_builds_only_listed_structures(monkeyp
             table_tiers[tables.op] += 1
             super().__init__(tables)
 
-    class CountedPosets(setcalc._PosetFacts):
-        def __init__(self, order):
-            poset_tiers.append((order, self))
-            super().__init__(order)
-
     class CountedOrders(setcalc._OrderFacts):
-        def __init__(self, table, poset):
-            structure_tiers.append((table, poset))
-            super().__init__(table, poset)
+        def __init__(self, table, order):
+            structure_tiers.append((order, self))
+            super().__init__(table, order)
 
     class CountedWitnesses(setcalc._Witnesses):
         __slots__ = ()
@@ -575,7 +572,6 @@ def test_sweep_scans_each_witness_once_and_builds_only_listed_structures(monkeyp
             self._scan = counted_scan(self._scan, key)
 
     monkeypatch.setattr(setcalc, "_TableFacts", CountedTables)
-    monkeypatch.setattr(setcalc, "_PosetFacts", CountedPosets)
     monkeypatch.setattr(setcalc, "_OrderFacts", CountedOrders)
     monkeypatch.setattr(setcalc, "_Witnesses", CountedWitnesses)
     spec = EnumSpec(4, 1)
@@ -583,13 +579,12 @@ def test_sweep_scans_each_witness_once_and_builds_only_listed_structures(monkeyp
     assert report.structures == 4753 and report.violations == []
     # one table tier per table, and one structure tier per listed structure
     # (each table's list is cut to SWEEP_EXAMPLE_CAP only at the merge),
-    # each over a poset tier of its own for a poset of all_partial_orders
+    # each over a poset of all_partial_orders
     assert sorted(table_tiers) == sorted(t.op for t in enumerate_tables(spec))
     assert set(table_tiers.values()) == {1}
     assert len(structure_tiers) == report.product_without_cr == 12
-    assert [poset for _, poset in structure_tiers] == [tier for _, tier in poset_tiers]
     posets = all_partial_orders(4)
-    swept = [order for order, _ in poset_tiers]
+    swept = [order for order, _ in structure_tiers]
     assert all(any(order is p for p in posets) for order in swept)
     assert lists and set(lists.values()) == {1}
     for (op, a, kind), count in scanned.items():
@@ -597,15 +592,15 @@ def test_sweep_scans_each_witness_once_and_builds_only_listed_structures(monkeyp
         assert count <= spec.n * len(op) ** letters
     assert not frozenset_calls
     # a loaded structure brings its own order object, so each call builds
-    # its own poset tier and no call reads another call's
+    # its own structure tier and no call reads another call's
     for path in sorted(FIXTURE_DIR.glob("*.json")):
         for command in ("analyze", "check"):
             for fmt in ("text", "machine"):
-                built = len(poset_tiers)
+                built = len(structure_tiers)
                 assert cli.main([command, str(path), "--format", fmt]) == 0
-                assert len(poset_tiers) == built + 1
+                assert len(structure_tiers) == built + 1
     capsys.readouterr()
-    called = [tier for _, tier in poset_tiers[len(swept):]]
+    called = [tier for _, tier in structure_tiers[len(swept):]]
     assert len({id(tier) for tier in called}) == len(called) == 4 * len(list(FIXTURE_DIR.glob("*.json")))
     assert not frozenset_calls
     # the counters see a frozenset definition when one is called
@@ -648,6 +643,23 @@ def test_reversal_keeps_classes_and_statuses_and_swaps_left_and_right():
                 assert _symmetric_facts(r) == (flags, statuses, right, left)
                 checked += 1
     assert checked == 5977
+
+
+def _canonical_cells(t):
+    # the least relabeled table, each image built in full
+    cells = _cells(t)
+    return min(tuple(pi[cells[j]] for j in src) for pi, src, _ in enumeration._relabelings(t.n, t.m))
+
+
+@pytest.mark.parametrize("n,m,count", [(1, 1, 1), (2, 1, 4), (3, 1, 18), (4, 1, 126), (5, 1, 1160),
+                                       (2, 2, 6), (2, 3, 7), (3, 2, 41), (3, 3, 71)])
+def test_table_counts_up_to_anti_isomorphism(n, m, count):
+    # classes up to relabeling and reversal: a canonical table is counted
+    # when it is the least of its own and its reversal's canonical forms.
+    # For m = 1 these are the semigroups up to isomorphism and
+    # anti-isomorphism, OEIS A001423
+    tables = _census_tables() if (n, m) == (5, 1) else enumerate_tables(EnumSpec(n, m))
+    assert sum(_cells(t) <= _canonical_cells(_reversed(t)) for t in tables) == count
 
 
 @pytest.mark.parametrize("n,m,labeled", [(2, 2, 34), (3, 1, 971), (2, 3, 62), (3, 2, 3203)])
@@ -752,7 +764,7 @@ def _assert_slice_matches_each_structure(t, keep):
         assert [b for b, down in sl.bi_ideals if _bits(down, i)] == [_mask(b) for b in bi_ideals]
         assert _bits(sl.product_property, i) == all(
             setcalc.downward_closure(s, setcalc.set_product(s, b, b)) == b for b in bi_ideals)
-        clo = setcalc._facts(s).poset.clo
+        clo = setcalc._facts(s).clo
         for value, groups in closures.items():
             assert [v for mask, v in groups if _bits(mask, i)] == [clo[value]]
         assert [next(v for mask, v in closures[sl.table.AuAMA[1 << a]] if _bits(mask, i))

@@ -177,15 +177,14 @@ def test_mask_tables_equal_the_frozenset_definitions():
 
 
 def _assert_order_tier_matches(s):
-    # every poset-tier and structure-tier fact of s, and the subset maps
-    # of its table tier, against their frozenset definitions
+    # every structure-tier fact of s, and the subset maps of its table
+    # tier, against their frozenset definitions
     o = setcalc._facts(s)
-    p, t = o.poset, o.table
+    t = o.table
     subsets = list(all_subsets(s.n))
     u = s.universe
-    assert p.up == o.up == [_mask(b for b in range(s.n) if s.le(a, b)) for a in range(s.n)]
-    assert p.clo == [_mask(downward_closure(s, sa)) for sa in subsets]
-    assert p.down_closed == _mask(b for b, sb in enumerate(subsets) if downward_closure(s, sb) == sb)
+    assert o.up == [_mask(b for b in range(s.n) if s.le(a, b)) for a in range(s.n)]
+    assert o.clo == [_mask(downward_closure(s, sa)) for sa in subsets]
     nonempty = subsets[1:]
     bi_ideals = [b for b in nonempty if is_bi_ideal(s, b)]
     assert o.bi_ideals == tuple(_mask(b) for b in bi_ideals)
@@ -358,7 +357,7 @@ def test_witness_lists_need_no_subset_tables_past_the_limit():
         assert [regularity(s, a, kind) is None for a in range(n)] == [False] + [True] * (n - 1)
     assert is_completely_regular(s) == 1
     o = setcalc._facts(s)
-    for tier, name in ((o.poset, "clo"), (o.poset, "down_closed"), (o, "bi_ideals"),
+    for tier, name in ((o, "clo"), (o, "bi_ideals"),
                        (o.table, "left"), (o.table, "am"), (o.table, "AA")):
         with pytest.raises(setcalc.StructureTooLarge):
             getattr(tier, name)
