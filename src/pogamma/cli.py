@@ -181,18 +181,22 @@ COMMANDS = ("validate", "analyze", "check", "sweep")
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser.  Given a command, only that subcommand gets its
-    arguments: a parse that runs it reaches no other subcommand's, and the
-    top-level help and usage list subcommands by name and help only."""
-    parser = argparse.ArgumentParser(
-        prog="pogamma",
-        description="Workbench for finite ordered Gamma-semigroups.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    """The CLI's parser.  With no command, the full tree: the top level
+    and every subcommand.  Given a command, that subcommand's parser
+    alone, with the prog, arguments and help it has in the tree."""
+    if command is None:
+        parser = argparse.ArgumentParser(
+            prog="pogamma",
+            description="Workbench for finite ordered Gamma-semigroups.")
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        parser = argparse.ArgumentParser(prog=f"pogamma {command}")
 
     def add(name, help, func):
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
-        return p if command in (None, name) else None
+        if command in (None, name):
+            p = sub.add_parser(name, help=help) if command is None else parser
+            p.set_defaults(func=func)
+            return p
 
     def common(p):
         p.add_argument("--format", choices=("text", "machine"), default="text",
@@ -229,11 +233,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the top level takes no option with a value, so the first token that
-    # names a subcommand is the subcommand argparse runs
-    parser = build_parser(next((a for a in argv if a in COMMANDS), None))
+    command = argv[0] if argv else None
     try:
-        args = parser.parse_args(argv)
+        # alone, a command's parser parses the tokens after its name as it
+        # does nested in the tree; the full tree prints top-level help and
+        # errors, and reports what the command's parser leaves unrecognized
+        if command in COMMANDS:
+            args, extras = build_parser(command).parse_known_args(argv[1:])
+        if command not in COMMANDS or extras:
+            args = build_parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:

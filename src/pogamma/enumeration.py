@@ -51,7 +51,6 @@ reproduces the single-worker report byte for byte.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import random
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -637,5 +636,6 @@ def sweep(spec: EnumSpec, theorem_ids=None, workers: int = 1) -> SweepReport:
         return _merge_partitions(spec, ids, map(tally, stream))
     if spec.require_order or not spec.canonical_only:
         _poset_columns(spec.n)   # built once here, so forked workers inherit the posets
+    import multiprocessing   # here, so that a start which runs no pool does not import it
     with multiprocessing.Pool(workers) as pool:
         return _merge_partitions(spec, ids, pool.imap(tally, stream, SWEEP_CHUNK))

@@ -1,5 +1,6 @@
 """Command line contract: output shapes, exit codes, and byte stability."""
 
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURE_DIR, REPO_ROOT, make_min_chain
-from pogamma import formats
+from pogamma import cli, formats
 from pogamma.cli import main
 from pogamma.enumeration import SweepViolation, sweep
 from pogamma.formats import REPORT_FORMAT, STRUCTURE_FORMAT, doc_to_report
@@ -385,6 +386,28 @@ def test_console_entry_point():
     assert proc.stdout.startswith("ok: min-chain")
 
 
+def test_importing_the_cli_leaves_out_multiprocessing():
+    # only a sweep that starts a pool imports it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, pogamma.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def _through_the_full_tree(argv) -> int:
+    """The oracle of main's parse: argv through the full tree alone."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as e:
+        return e.code if isinstance(e.code, int) else 2
+    try:
+        return args.func(args)
+    except OSError as e:   # a path that names no file, as main reports it
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+
+
 @pytest.mark.parametrize("argv", [
     [], ["-h"], ["--help", "check"], ["-h", "validate"], ["bogus"], ["bogus", "check"],
     ["validate", "-h"], ["analyze", "--help"], ["check", "-h"], ["sweep", "-h"],
@@ -393,17 +416,49 @@ def test_console_entry_point():
     ["validate", MIN_CHAIN, "--theorem", "prop2"], ["--x", "check", MIN_CHAIN],
     ["--", "analyze", MIN_CHAIN], ["validate", "check"], ["check", "validate"],
     ["sweep", "--n", "2", "--m", "1", "--workers", "0"], ["sweep", "--n", "1", "--m", "1"],
+    ["check", "--", MIN_CHAIN], ["check", MIN_CHAIN, "--"],
+    ["validate", MIN_CHAIN, "--", "--out"], ["check", MIN_CHAIN, "--format=machine"],
+    ["check", MIN_CHAIN, "extra"], ["analyze", MIN_CHAIN, "--fo", "machine"],
+    ["check", "-h", "--bogus"], ["sweep", "--n", "2", "--m", "1", "--n", "1"],
 ])
-def test_parser_for_one_command_behaves_as_the_full_parser(argv, monkeypatch, capsys):
-    # main adds only the arguments of the subcommand that argv runs
-    from pogamma import cli
-    full = cli.build_parser
+def test_parser_for_one_command_behaves_as_the_full_parser(argv, capsys):
+    # main parses with the command's parser alone where it can
+    argv = [*argv, "--format", "machine"] if MIN_CHAIN in argv else argv
     seen = []
-    for build in (lambda command: full(), full):
-        monkeypatch.setattr(cli, "build_parser", build)
-        seen.append((main([*argv, "--format", "machine"] if MIN_CHAIN in argv else argv),
-                     capsys.readouterr()))
+    for run in (main, _through_the_full_tree):
+        seen.append((run(argv), capsys.readouterr()))
     assert seen[0] == seen[1]
+
+
+def test_usage_error_without_arguments_is_pinned(capsys):
+    assert main([]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("usage: pogamma [-h] {validate,analyze,check,sweep} ...\n"
+                            "pogamma: error: the following arguments are required: command\n")
+
+
+# the top level and one parser per subcommand
+FULL_TREE = ["pogamma", *(f"pogamma {c}" for c in cli.COMMANDS)]
+
+
+@pytest.mark.parametrize("argv,progs", [
+    (["validate", MIN_CHAIN], ["pogamma validate"]), (["analyze", MIN_CHAIN], ["pogamma analyze"]),
+    (["check", MIN_CHAIN], ["pogamma check"]), (["sweep", "--n", "1", "--m", "1"], ["pogamma sweep"]),
+    ([], FULL_TREE), (["-h"], FULL_TREE), (["bogus"], FULL_TREE),
+])
+def test_a_request_builds_one_parser(argv, progs, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    main(argv)
+    capsys.readouterr()
+    assert built == progs
 
 
 def test_each_call_loads_and_builds_its_own_facts(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Table and order generation, canonicalization, and sweep plumbing."""
 
 import hashlib
+import multiprocessing
 import random
 from collections import Counter
 from functools import lru_cache
@@ -480,7 +481,7 @@ def test_sweep_caps_workers_at_the_cpu_count(monkeypatch):
 
     solo = sweep(EnumSpec(2, 2), workers=1)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(enumeration.multiprocessing, "Pool", refuse)
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
     assert sweep(EnumSpec(2, 2), workers=3) == solo
 
 
@@ -515,7 +516,7 @@ def test_sweep_generates_the_table_stream_once(monkeypatch):
         return enumerate_tables(*args, **kwargs)
 
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(enumeration.multiprocessing, "Pool", _InProcessPool)
+    monkeypatch.setattr(multiprocessing, "Pool", _InProcessPool)
     monkeypatch.setattr(enumeration, "enumerate_tables", counted)
     assert sweep(EnumSpec(2, 2), workers=3) == solo
     assert len(calls) == 1
@@ -707,7 +708,7 @@ def test_sweep_fills_the_posets_before_the_pool_forks(monkeypatch):
     solo = sweep(spec, workers=1)
     enumeration._poset_columns.cache_clear()
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(enumeration.multiprocessing, "Pool", Recording)
+    monkeypatch.setattr(multiprocessing, "Pool", Recording)
     assert sweep(spec, workers=2) == solo
     assert filled == [1]
 
@@ -813,5 +814,5 @@ def test_sweep_runs_a_short_table_stream_in_process(monkeypatch):
 
     solo = sweep(EnumSpec(2, 2), workers=1)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(enumeration.multiprocessing, "Pool", refuse)
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
     assert sweep(EnumSpec(2, 2), workers=2) == solo
