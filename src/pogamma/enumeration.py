@@ -29,18 +29,19 @@ oracle.
 A sweep, labeled or canonical, walks the canonical stream and decides
 every canonical structure over a table at once: each classify flag and
 each selected claim's violations is a mask over the table's kept
-posets (setcalc's slice, theorems.MASKS), and the tallies are
-popcounts.  A labeled sweep counts each canonical structure
+posets (setcalc's slice, theorems.MASKS), and every tally is a
+popcount.  A labeled sweep counts each canonical structure
 n! m! / |Stab| times, the size of its orbit, where the stabilizer holds
 the relabelings that fix both its table and its order; the automorphism
 comparison that picks the minimal orders also records which posets each
 automorphism fixes, and the posets are grouped by that weight.  Only the
-structures a report lists, gap examples and violations, are built and
-classified and checked on their own (_tally); a labeled sweep does this
-for each of their labeled images.  So every listed witness comes from
+structures a report lists are built: a gap example as it is, since the
+flags do not change under relabeling, and a class some claim's mask
+marks as violated with the selected checkers run on it.  A labeled sweep
+lists each of their labeled images.  So every listed witness comes from
 the per-structure checkers, which stay the oracle of the masks, as the
-labeled stream, which no sweep walks, stays the oracle of the labeled
-report.
+labeled stream, which no sweep walks, and the brute tally (_tally) stay
+the oracle of the labeled report.
 
 A sweep generates the table stream once and maps one per-table tally
 over it, with the builtin map on one worker or a short stream and
@@ -55,7 +56,8 @@ import os
 import random
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import lru_cache, partial
-from itertools import chain, islice, permutations, product, repeat
+from itertools import chain, islice, permutations, product
+from math import factorial
 from operator import iadd
 
 from . import setcalc, theorems
@@ -74,12 +76,13 @@ from .model import (
 
 # m * n^2 table cells; keeps the search at desk scale.  Both sweep modes
 # walk the canonical tables, one per isomorphism class, which reach
-# n=3, m=3 and n=5, m=1 under the canonical guard.  A labeled spec keeps
-# the lower guard (largest supported: n=3, m=2 and n=4, m=1): its sweep
-# also builds every labeled image of each class it lists, and its table
-# stream, the oracle of labeled sweeps, lists every labeled table.
+# n=3, m=3 and n=5, m=1.  The labeled table stream, which lists every
+# labeled table for the oracles and random_structures, stops at n=3, m=2
+# and n=4, m=1.
 MAX_TABLE_CELLS = 18
 MAX_CANONICAL_CELLS = 27
+# n! m! relabelings, which the canonical search holds in one list
+MAX_RELABELINGS = 40_320
 
 # naive generation enumerates n ** (m * n^2) raw fills
 MAX_NAIVE_FILLS = 1_000_000
@@ -92,30 +95,29 @@ SWEEP_CHUNK = 16
 
 @dataclass(frozen=True)
 class EnumSpec:
-    """What to enumerate: universe size, letter count, whether to attach
-    every compatible order or just the discrete one, and whether to keep
+    """What to enumerate: universe size, letter count, and whether to keep
     only canonical representatives of isomorphism classes."""
 
     n: int
     m: int
-    require_order: bool = True
     canonical_only: bool = True
 
     def validate(self) -> None:
         if self.n < 1 or self.m < 1:
             raise ValueError(f"need n >= 1 and m >= 1, got n={self.n}, m={self.m}")
         cells = self.m * self.n * self.n
-        if self.canonical_only and cells > MAX_CANONICAL_CELLS:
+        group = factorial(self.n) * factorial(self.m)
+        if self.canonical_only and (cells > MAX_CANONICAL_CELLS or group > MAX_RELABELINGS):
             raise ValueError(
-                f"m * n^2 = {cells} exceeds the desk-scale guard of {MAX_CANONICAL_CELLS} for "
-                f"canonical sweeps, which prune all but one table per isomorphism class "
-                f"during the search; the largest supported are n=3, m=3 and n=5, m=1")
+                f"n={self.n}, m={self.m} is past the desk-scale guard of the canonical table "
+                f"stream, which both sweep modes walk: m * n^2 = {cells} cells of at most "
+                f"{MAX_CANONICAL_CELLS}, n! m! = {group} relabelings of at most {MAX_RELABELINGS}; "
+                f"the largest supported are n=3, m=3, n=5, m=1 and n=1, m=8")
         if not self.canonical_only and cells > MAX_TABLE_CELLS:
             raise ValueError(
-                f"m * n^2 = {cells} exceeds the desk-scale guard of {MAX_TABLE_CELLS} for "
-                f"labeled sweeps, which walk the canonical tables and also build every "
-                f"labeled image of each class they list; the largest supported are "
-                f"n=3, m=2 and n=4, m=1")
+                f"m * n^2 = {cells} exceeds the desk-scale guard of {MAX_TABLE_CELLS} for the "
+                f"labeled table stream, which lists every labeled table; the largest supported "
+                f"are n=3, m=2 and n=4, m=1")
 
 
 def _tables_from_cells(cells, n, m) -> GammaTables:
@@ -401,9 +403,6 @@ def _minimal_orders(t: GammaTables, keep: int) -> tuple:
 
 def _table_structures(spec: EnumSpec, t: GammaTables):
     """The structures over table t that enumerate_structures keeps."""
-    if not spec.require_order:
-        yield PoGammaSemigroup(tables=t, order=equality_order(t.n))
-        return
     keep = _compatible_orders(t)
     if spec.canonical_only:
         keep = _minimal_orders(t, keep)[0]
@@ -489,7 +488,7 @@ class SweepReport:
     n: int
     m: int
     canonical: bool
-    require_order: bool
+    require_order: bool   # always True: every sweep attaches each compatible order
     theorems: tuple[str, ...]
     structures: int = 0
     regular_structures: int = 0
@@ -505,12 +504,6 @@ _TALLIES = tuple(f.name for f in fields(SweepReport)
                  if f.default is not MISSING or f.default_factory is not MISSING)
 
 
-def _assess(s: PoGammaSemigroup, ids) -> tuple:
-    """classify's flags for s, and the selected checkers' violations."""
-    return classify(s), [report for report in theorems.run_selected(s, ids)
-                         if report.status == "violation"]
-
-
 def _images(s: PoGammaSemigroup) -> list:
     """The distinct relabelings of s, by ascending structure_encoding."""
     images = {}
@@ -521,52 +514,46 @@ def _images(s: PoGammaSemigroup) -> list:
     return [images[key] for key in sorted(images)]
 
 
-def _tally(spec: EnumSpec, ids, structures, weights=None) -> SweepReport:
-    """Tally the structures, each standing for weights[i] isomorphic ones
-    (by default itself alone), from one classify and one checker run: the
-    oracle of the sliced tally, and its path for the structures it lists.
+def _violations(s: PoGammaSemigroup, ids) -> list:
+    """The selected checkers' violations on s."""
+    return [SweepViolation(structure=s, report=report)
+            for report in theorems.run_selected(s, ids) if report.status == "violation"]
 
-    Only a structure the report must list, as a gap example or for a
-    violation, and that stands for more than itself, has its images
-    listed; each image is classified and checked on its own, so every
-    listed witness is that image's own.  The lists are left unsorted
-    and uncapped for _merge_partitions.
-    """
-    r = SweepReport(spec.n, spec.m, spec.canonical_only, spec.require_order, tuple(ids))
-    for s, weight in zip(structures, weights or repeat(1)):
-        flags, found = _assess(s, ids)
-        r.structures += weight
+
+def _tally(spec: EnumSpec, ids, structures) -> SweepReport:
+    """Tally the structures, each classified and checked on its own: the
+    brute oracle of the sliced tally, and with no structures the empty
+    report a merge starts from.  The lists are left unsorted and uncapped
+    for _merge_partitions."""
+    r = SweepReport(spec.n, spec.m, spec.canonical_only, True, tuple(ids))
+    for s in structures:
+        flags = classify(s)
+        r.structures += 1
         for key, flag in flags.items():
-            setattr(r, f"{key}_structures", getattr(r, f"{key}_structures") + flag * weight)
-        gap = flags["product_property"] and not flags["completely_regular"]
-        r.product_without_cr += gap * weight
-        if not (gap or found):
-            continue
-        listed = ([(image, *_assess(image, ids)) for image in _images(s)] if weight > 1
-                  else [(s, flags, found)])
-        for image, image_flags, image_found in listed:
-            if image_flags["product_property"] and not image_flags["completely_regular"]:
-                r.product_without_cr_examples.append(image)
-            r.violations += [SweepViolation(structure=image, report=report)
-                             for report in image_found]
+            setattr(r, f"{key}_structures", getattr(r, f"{key}_structures") + flag)
+        if flags["product_property"] and not flags["completely_regular"]:
+            r.product_without_cr += 1
+            r.product_without_cr_examples.append(s)
+        r.violations += _violations(s, ids)
     return r
 
 
 def _table_tally(spec: EnumSpec, ids, t: GammaTables) -> SweepReport:
-    """Tally canonical table t's share of the sweep from masks over its
-    kept posets (setcalc._Slice): each classify flag and each selected
-    claim's violations are decided for every poset at once.
+    """Tally canonical table t's share of the sweep by popcount over masks
+    of its kept posets (setcalc._Slice): each classify flag and each
+    selected claim's violations are decided for every poset at once.
 
     A canonical sweep counts each canonical structure over t once.  A
     labeled sweep counts it once per structure in its orbit,
     n! m! / |Stab(S)|, where Stab(S) holds the relabelings that fix both
     its table and its order (orbit-stabilizer), so the posets are grouped
     by that weight and each isomorphism class is decided once.  Only the
-    posets the report lists, gap examples and violations, are built as
-    structures and tallied by _tally, so every listed witness is the one
-    the per-structure checkers give; the rest are counted by popcount."""
-    # poset 0 is the discrete order, which every relabeling fixes
-    keep, fixed = _minimal_orders(t, _compatible_orders(t) if spec.require_order else 1)
+    posets the report lists are built as structures, a labeled sweep
+    listing each of their images: a gap example as it is, and a structure
+    some selected claim's mask marks with the selected checkers run on it,
+    so every listed witness is the one the per-structure checkers give.
+    The lists are left unsorted and uncapped for _merge_partitions."""
+    keep, fixed = _minimal_orders(t, _compatible_orders(t))
     if spec.canonical_only:
         weights = {1: keep}
     else:
@@ -576,18 +563,24 @@ def _table_tally(spec: EnumSpec, ids, t: GammaTables) -> SweepReport:
             weights[weight] = weights.get(weight, 0) | 1 << i
     sl = setcalc._Slice(setcalc._table_facts(t), _poset_columns(t.n), keep)
     flags = _classify_slice(sl)
-    listed = flags["product_property"] & ~flags["completely_regular"]
+    gap = flags["product_property"] & ~flags["completely_regular"]
+    violated = 0
     for tid in ids:
-        listed |= theorems.MASKS[tid](sl)
-    posets, shown = all_partial_orders(t.n), setcalc._members(listed)
-    r = _tally(spec, ids, [PoGammaSemigroup(tables=t, order=posets[i]) for i in shown],
-               [next(w for w, mask in weights.items() if mask >> i & 1) for i in shown])
-    for weight, mask in weights.items():
-        mask &= ~listed
-        r.structures += weight * mask.bit_count()
-        for key, flag in flags.items():
-            setattr(r, f"{key}_structures",
-                    getattr(r, f"{key}_structures") + weight * (flag & mask).bit_count())
+        violated |= theorems.MASKS[tid](sl)
+    r = _tally(spec, ids, ())
+    counted = {"structures": keep, "product_without_cr": gap,
+               **{f"{key}_structures": flag for key, flag in flags.items()}}
+    for name, mask in counted.items():
+        setattr(r, name, sum(weight * (mask & members).bit_count()
+                             for weight, members in weights.items()))
+    posets = all_partial_orders(t.n)
+    for i in setcalc._members(gap | violated):
+        s = PoGammaSemigroup(tables=t, order=posets[i])
+        listed = [s] if spec.canonical_only else _images(s)
+        if gap >> i & 1:
+            r.product_without_cr_examples += listed
+        if violated >> i & 1:
+            r.violations += [v for image in listed for v in _violations(image, ids)]
     return r
 
 
@@ -610,32 +603,32 @@ def _merge_partitions(spec: EnumSpec, ids, parts) -> SweepReport:
 
 
 def sweep(spec: EnumSpec, theorem_ids=None, workers: int = 1) -> SweepReport:
-    """Tally every structure per spec, deciding each isomorphism class
-    once and running the selected checkers only on the structures the
-    report lists.
+    """Tally every structure per spec by popcount, deciding each
+    isomorphism class once and running the selected checkers only on the
+    structures a claim's mask marks as violated.
 
-    Both modes walk the canonical table stream, generated once, here, and
-    tally each table on its own (_table_tally): by the builtin map when
-    the worker count, capped at the CPU count, is 1 or the stream ends
-    within the pool's first round of workers * SWEEP_CHUNK tables, and by
-    Pool.imap otherwise.  Either map yields per-table results in stream
-    order, and the merge sorts what it lists, so the report is identical
-    for any worker count.
+    Both modes walk the canonical table stream, so its guard is the one
+    checked; it is generated once, here, and each table is tallied on its
+    own (_table_tally): by the builtin map when the worker count, capped
+    at the CPU count, is 1 or the stream ends within the pool's first
+    round of workers * SWEEP_CHUNK tables, and by Pool.imap otherwise.
+    Either map yields per-table results in stream order, and the merge
+    sorts what it lists, so the report is identical for any worker count.
     """
-    spec.validate()
+    walk = replace(spec, canonical_only=True)
+    walk.validate()
     ids = tuple(theorem_ids) if theorem_ids else theorems.THEOREM_IDS
     unknown = set(ids) - set(theorems.THEOREM_IDS)
     if unknown:
         raise ValueError(f"unknown theorem ids: {sorted(unknown)}")
     workers = min(workers, os.cpu_count() or 1)
     tally = partial(_table_tally, spec, ids)
-    tables = enumerate_tables(replace(spec, canonical_only=True))
+    tables = enumerate_tables(walk)
     head = list(islice(tables, workers * SWEEP_CHUNK))
     stream = chain(head, tables)
     if workers == 1 or len(head) < workers * SWEEP_CHUNK:
         return _merge_partitions(spec, ids, map(tally, stream))
-    if spec.require_order or not spec.canonical_only:
-        _poset_columns(spec.n)   # built once here, so forked workers inherit the posets
+    _poset_columns(spec.n)   # built once here, so forked workers inherit the posets
     import multiprocessing   # here, so that a start which runs no pool does not import it
     with multiprocessing.Pool(workers) as pool:
         return _merge_partitions(spec, ids, pool.imap(tally, stream, SWEEP_CHUNK))

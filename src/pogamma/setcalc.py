@@ -30,7 +30,7 @@ only until every poset is decided; per BMB-closed B, the posets where B
 is down-closed; and per subset S, the posets where each z lies in (S],
 which also groups the posets by the value of (S].  A sweep builds one
 table tier and one slice per table, and a structure tier only for each
-structure its report lists.
+structure a claim's mask marks as violated.
 
 The frozenset functions (downward_closure, set_product, is_bi_ideal,
 semiprime_failure, ...) stay as the definitions, and the tests hold the
@@ -51,6 +51,11 @@ from .model import GammaTables, OrderRelation, PoGammaSemigroup
 def _regular_rhs(op, a, x, g, u):
     """(a g x) u a"""
     return op[u][op[g][a][x]][a]
+
+
+def _derived_witness(op, a, x, g, u):
+    """(x u a) g x, the witness thm8 derives for a from a strong one (x, g, u)"""
+    return op[g][op[u][x][a]][x]
 
 
 def _commute(op, a, x, g, u):
@@ -537,7 +542,7 @@ def _or_of(masks, bits: int) -> int:
     return out
 
 
-_last_table = (None, None)   # a table's listed structures reread the witness lists its slice grew
+_last_table = (None, None)   # a table's violated structures reread the witness lists its slice grew
 _last_order = (None, None)   # classify, the checkers and analyze pass one structure object
 
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from .model import PoGammaSemigroup
 from .setcalc import is_completely_regular, is_strongly_regular, product_failure
-from .setcalc import RegularityWitness, _commute, _facts, _least_without, _members, _regular_rhs
-from .setcalc import _strongly_regular_within, witness_holds
+from .setcalc import RegularityWitness, _commute, _derived_witness, _facts, _least_without, _members
+from .setcalc import _regular_rhs, _strongly_regular_within, witness_holds
 
 # the synthetic report `check --force-violation` appends to exercise exit code 1
 FORCED_VIOLATION_ID = "forced-violation"
@@ -237,8 +237,7 @@ def thm8_witness(s: PoGammaSemigroup, a: int, x: int, g: int, u: int) -> tuple[i
     w = RegularityWitness("strongly-regular", a, (x, g, u))
     if not witness_holds(s, w):
         raise ValueError(f"({x}, {g}, {u}) is not a strong-regularity witness for {a}")
-    y = s.prod(g, s.prod(u, x, a), x)
-    return (y, g, u)
+    return (_derived_witness(s.tables.op, a, x, g, u), g, u)
 
 
 def check_thm8(s: PoGammaSemigroup) -> CheckReport:
@@ -251,7 +250,7 @@ def check_thm8(s: PoGammaSemigroup) -> CheckReport:
     op, leq = s.tables.op, s.order.leq
     for a, w in enumerate(o.table.witnesses("strongly-regular")):
         x, g, u = w.first(o.up[a])
-        y = op[g][op[u][x][a]][x]   # thm8_witness's y, for a witness known to hold
+        y = _derived_witness(op, a, x, g, u)
         # a <= (a g y) u a and y <= (y u a) g y are plain regularity
         a_ok = leq[a][_regular_rhs(op, a, y, g, u)]
         y_ok = leq[y][_regular_rhs(op, y, a, u, g)]
@@ -272,7 +271,7 @@ def mask_thm8(sl) -> int:
     bad = 0
     for a, w in enumerate(sl.table.witnesses("strongly-regular")):
         for hit, (x, g, u) in sl.firsts(w, a, strong):
-            y = op[g][op[u][x][a]][x]
+            y = _derived_witness(op, a, x, g, u)
             ok = (cols[a * n + _regular_rhs(op, a, y, g, u)]
                   & cols[y * n + _regular_rhs(op, y, a, u, g)])
             bad |= hit & ~ok if _commute(op, a, y, g, u) else hit

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURE_DIR, REPO_ROOT, make_min_chain
-from pogamma import cli, formats
+from pogamma import cli, enumeration, formats
 from pogamma.cli import main
 from pogamma.enumeration import SweepViolation, sweep
 from pogamma.formats import REPORT_FORMAT, STRUCTURE_FORMAT, doc_to_report
@@ -346,6 +346,18 @@ def test_sweep_worker_counts_agree_byte_for_byte(tmp_path, capsys):
 def test_sweep_guard_exits_2(capsys):
     assert main(["sweep", "--n", "4", "--m", "2"]) == 2
     assert "desk-scale" in capsys.readouterr().err
+
+
+def test_sweep_guard_refuses_a_relabeling_list_past_its_bound(monkeypatch, capsys):
+    # 12 cells pass both cell guards, but the canonical walk would list all
+    # 12! relabelings; the guard refuses before any is listed
+    def refuse(n, m):
+        raise AssertionError(f"{n}! {m}! relabelings listed")
+
+    monkeypatch.setattr(enumeration, "_relabelings", refuse)
+    assert main(["sweep", "--n", "1", "--m", "12"]) == 2
+    err = capsys.readouterr().err
+    assert "desk-scale" in err and "479001600 relabelings" in err
 
 
 def test_sweep_rejects_bad_worker_count(capsys):

@@ -22,6 +22,7 @@ from conftest import (
 from pogamma import cli, enumeration, model, setcalc, theorems
 from pogamma.enumeration import (
     MAX_CANONICAL_CELLS,
+    MAX_RELABELINGS,
     MAX_TABLE_CELLS,
     SWEEP_EXAMPLE_CAP,
     EnumSpec,
@@ -52,6 +53,7 @@ from pogamma.model import (
 LABELED_SPEC_2_1 = EnumSpec(2, 1, canonical_only=False)
 LABELED_SPEC_2_2 = EnumSpec(2, 2, canonical_only=False)
 LABELED_SPEC_3_2 = EnumSpec(3, 2, canonical_only=False)
+LABELED_SPEC_3_3 = EnumSpec(3, 3, canonical_only=False)
 
 
 def test_table_counts_frozen():
@@ -79,7 +81,7 @@ def test_naive_guard_refuses_large_spaces():
         list(enumerate_tables_naive(EnumSpec(3, 2, canonical_only=False)))
 
 
-def test_spec_guard():
+def test_spec_guard(monkeypatch):
     EnumSpec(3, 2).validate()
     EnumSpec(4, 1).validate()
     EnumSpec(3, 2, canonical_only=False).validate()
@@ -91,10 +93,33 @@ def test_spec_guard():
         with pytest.raises(ValueError):
             EnumSpec(n, m).validate()
     for n, m in ((5, 1), (3, 3)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="labeled table stream"):
             EnumSpec(n, m, canonical_only=False).validate()
     assert MAX_TABLE_CELLS == 18
     assert MAX_CANONICAL_CELLS == 27
+    # the canonical search lists all n! m! relabelings, 8! at (1, 8); the
+    # labeled stream lists none
+    assert MAX_RELABELINGS == factorial(8)
+    EnumSpec(1, 8).validate()
+    EnumSpec(1, 9, canonical_only=False).validate()
+    with pytest.raises(ValueError, match="canonical table stream"):
+        EnumSpec(1, 9).validate()
+    # both sweep modes walk the canonical stream, so a sweep is held to its
+    # guard whatever the mode
+    walked = []
+
+    def no_tables(spec):
+        walked.append(spec)
+        return iter(())
+
+    monkeypatch.setattr(enumeration, "enumerate_tables", no_tables)
+    for n, m in ((3, 3), (5, 1)):
+        assert sweep(EnumSpec(n, m, canonical_only=False)).structures == 0
+    assert walked == [EnumSpec(3, 3), EnumSpec(5, 1)]
+    for n, m in ((4, 2), (1, 9)):
+        with pytest.raises(ValueError, match="canonical table stream"):
+            sweep(EnumSpec(n, m, canonical_only=False))
+    assert len(walked) == 2
 
 
 def test_every_generated_table_is_associative():
@@ -287,13 +312,13 @@ def test_every_enumerated_structure_passes_the_validators():
 
 
 def test_discrete_order_mode():
-    spec = EnumSpec(2, 1, require_order=False, canonical_only=False)
-    pool = list(enumerate_structures(spec))
+    # the discrete order is compatible with every table, so the structures
+    # with that order are the tables themselves
+    pool = list(enumerate_tables(LABELED_SPEC_2_1))
     assert len(pool) == 8
-    assert all(s.order == equality_order(2) for s in pool)
+    assert all(equality_order(2) in enumerate_orders(t) for t in pool)
     # canonical: semigroups of order n up to isomorphism, OEIS A027851
-    counts = [sum(1 for _ in enumerate_structures(EnumSpec(n, 1, require_order=False)))
-              for n in range(1, 5)]
+    counts = [sum(1 for _ in enumerate_tables(EnumSpec(n, 1))) for n in range(1, 5)]
     assert counts == [1, 5, 24, 188]
 
 
@@ -345,12 +370,17 @@ def test_sweep_workers_do_not_change_the_report():
     # (1, 1) has a single table, so some workers get none
     # labeled (3, 2) walks 54 canonical tables, enough for a pool to start
     for spec in (EnumSpec(2, 2), EnumSpec(3, 1), LABELED_SPEC_2_2, EnumSpec(1, 1),
-                 LABELED_SPEC_3_2):
+                 LABELED_SPEC_3_2, LABELED_SPEC_3_3):
         solo = sweep(spec, workers=1)
         for workers in (2, 3):
             other = sweep(spec, workers=workers)
             assert other == solo
             assert serialize_report(other) == serialize_report(solo)
+    # labeled (3, 3), past the labeled stream's guard, pinned by
+    # `sweep --n 3 --m 3 --format machine` from before its sweep was admitted
+    assert solo.structures == 10103
+    digest = hashlib.sha256(serialize_report(solo).encode("utf-8")).hexdigest()
+    assert digest == "15aa2ef31bfe30ecb9896352674a1bd6214febe0f4948695dd3b7defe8aa3d44"
 
 
 def test_sweep_theorem_subset_and_unknown_id():
@@ -414,16 +444,7 @@ def _brute_sweep(spec):
         spec, ids, [enumeration._tally(spec, ids, enumerate_structures(spec))])
 
 
-@pytest.mark.parametrize("require_order", [True, False])
-@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
-def test_labeled_sweep_equals_the_brute_tally(n, m, require_order):
-    spec = EnumSpec(n, m, require_order=require_order, canonical_only=False)
-    report, brute = sweep(spec), _brute_sweep(spec)
-    assert report == brute
-    assert serialize_report(report) == serialize_report(brute)
-
-
-def test_labeled_sweep_lists_each_image_of_a_violated_class(monkeypatch):
+def _plant_violations(monkeypatch):
     # no real sweep reports a violation, so plant one on every structure
     # that is not completely regular, with that structure's own least
     # failing element as the witness, in both definitions of the claim:
@@ -441,11 +462,28 @@ def test_labeled_sweep_lists_each_image_of_a_violated_class(monkeypatch):
 
     monkeypatch.setitem(theorems.CHECKERS, "thm8", planted)
     monkeypatch.setitem(theorems.MASKS, "thm8", planted_mask)
+
+
+@pytest.mark.parametrize("planted", [True, False])
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_labeled_sweep_equals_the_brute_tally(monkeypatch, n, m, planted):
+    # with violations planted, every image of each violated class is
+    # listed with the checkers' own witness
+    if planted:
+        _plant_violations(monkeypatch)
+    spec = EnumSpec(n, m, canonical_only=False)
+    report, brute = sweep(spec), _brute_sweep(spec)
+    assert report == brute
+    assert serialize_report(report) == serialize_report(brute)
+    assert len(report.violations) == planted * (report.structures
+                                                - report.completely_regular_structures)
+
+
+def test_labeled_sweep_lists_each_image_of_a_violated_class(monkeypatch):
+    # each image once, in encoding order, with its own least failing element
+    _plant_violations(monkeypatch)
     for spec in (LABELED_SPEC_2_2, EnumSpec(3, 1, canonical_only=False)):
-        report, brute = sweep(spec), _brute_sweep(spec)
-        assert report == brute
-        assert serialize_report(report) == serialize_report(brute)
-        assert len(report.violations) == report.structures - report.completely_regular_structures
+        report = sweep(spec)
         keys = [structure_encoding(v.structure) for v in report.violations]
         assert keys == sorted(set(keys))
         assert all(v.report.witness["a"] == setcalc.is_completely_regular(v.structure)
@@ -463,15 +501,24 @@ def test_labeled_sweep_checks_each_class_once(monkeypatch):
         checked.append(s)
         return run_selected(s, ids)
 
+    def refuse(s):
+        raise AssertionError("a sweep decides its flags over the slice")
+
     run_selected = theorems.run_selected
     monkeypatch.setattr(enumeration, "enumerate_tables", counted_tables)
     monkeypatch.setattr(theorems, "run_selected", counted_run)
+    monkeypatch.setattr(enumeration, "classify", refuse)
     report = sweep(LABELED_SPEC_3_2)
     assert report.structures == 3203
     assert report.product_without_cr == 0 and report.violations == []
     # the canonical tables only, each class decided once over its table's
-    # slice, and checkers run only for the classes the report lists: none
+    # slice, and checkers run only for the classes a claim's mask marks:
+    # none, not even the gap classes, which are listed as they are
     assert walked == [EnumSpec(3, 2, canonical_only=True)]
+    for spec, gap in ((EnumSpec(4, 1), 12), (EnumSpec(4, 1, canonical_only=False), 288)):
+        report = sweep(spec)
+        assert report.product_without_cr == gap and report.violations == []
+    assert walked[1:] == [EnumSpec(4, 1)] * 2
     assert checked == []
 
 
@@ -527,8 +574,9 @@ def test_sweep_scans_each_witness_once_and_builds_only_listed_structures(monkeyp
     # table builds one table tier, which makes each (element, kind)
     # witness list once and scans each of its candidates at most once, and
     # its slice decides every kept poset at once from them.  Only a
-    # structure the report lists, here the 12 gap examples of (4, 1),
-    # builds a structure tier.  The slice, every checker and analyze read
+    # structure the report lists is built, and only one that a claim's
+    # mask marks builds a structure tier: the 12 gap examples of (4, 1)
+    # build none.  The slice, every checker and analyze read
     # the bitmask tables, so the frozenset definitions (every one goes
     # through set_product or downward_closure) are never called.
     table_tiers, lists, scanned = (Counter() for _ in range(3))
@@ -578,15 +626,10 @@ def test_sweep_scans_each_witness_once_and_builds_only_listed_structures(monkeyp
     spec = EnumSpec(4, 1)
     report = sweep(spec)
     assert report.structures == 4753 and report.violations == []
-    # one table tier per table, and one structure tier per listed structure
-    # (each table's list is cut to SWEEP_EXAMPLE_CAP only at the merge),
-    # each over a poset of all_partial_orders
+    # one table tier per table, and no structure tier
     assert sorted(table_tiers) == sorted(t.op for t in enumerate_tables(spec))
     assert set(table_tiers.values()) == {1}
-    assert len(structure_tiers) == report.product_without_cr == 12
-    posets = all_partial_orders(4)
-    swept = [order for order, _ in structure_tiers]
-    assert all(any(order is p for p in posets) for order in swept)
+    assert report.product_without_cr == 12 and structure_tiers == []
     assert lists and set(lists.values()) == {1}
     for (op, a, kind), count in scanned.items():
         letters = setcalc._INEQUALITIES[kind][0]
@@ -601,7 +644,7 @@ def test_sweep_scans_each_witness_once_and_builds_only_listed_structures(monkeyp
                 assert cli.main([command, str(path), "--format", fmt]) == 0
                 assert len(structure_tiers) == built + 1
     capsys.readouterr()
-    called = [tier for _, tier in structure_tiers[len(swept):]]
+    called = [tier for _, tier in structure_tiers]
     assert len({id(tier) for tier in called}) == len(called) == 4 * len(list(FIXTURE_DIR.glob("*.json")))
     assert not frozenset_calls
     # the counters see a frozenset definition when one is called
