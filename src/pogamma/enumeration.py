@@ -20,11 +20,13 @@ its order is minimal over the orbit of the table's automorphisms.  A
 canonical search prunes a partial fill as soon as some relabeling makes
 its filled prefix smaller, since every completion then loses too, and so
 generates only minimal tables (Read's orderly generation, 1978; McKay,
-"Isomorph-free exhaustive generation", 1998).  The compatible orders are
-then compared, again all at once through the masks, only with their
-relabelings by the table's automorphisms.  The brute
-`canonical_key`, which relabels whole structures, stays as the test
-oracle.
+"Isomorph-free exhaustive generation", 1998).  It hands down only the
+relabelings still tied with the prefix, since one that makes it larger
+does so for every completion, and those tied with a full table are its
+automorphisms.  The compatible orders are then compared, again all at
+once through the masks, only with their relabelings by those
+automorphisms.  The brute `canonical_key`, which relabels whole
+structures, stays as the test oracle.
 
 A sweep, labeled or canonical, walks the canonical stream and decides
 every canonical structure over a table at once: each classify flag and
@@ -40,7 +42,7 @@ flags do not change under relabeling, and a class some claim's mask
 marks as violated with the selected checkers run on it.  A labeled sweep
 lists each of their labeled images.  So every listed witness comes from
 the per-structure checkers, which stay the oracle of the masks, as the
-labeled stream, which no sweep walks, and the brute tally (_tally) stay
+labeled stream, which no sweep walks, and the tests' brute tally stay
 the oracle of the labeled report.
 
 A sweep generates the table stream once and maps one per-table tally
@@ -76,9 +78,9 @@ from .model import (
 
 # m * n^2 table cells; keeps the search at desk scale.  Both sweep modes
 # walk the canonical tables, one per isomorphism class, which reach
-# n=3, m=3 and n=5, m=1.  The labeled table stream, which lists every
-# labeled table for the oracles and random_structures, stops at n=3, m=2
-# and n=4, m=1.
+# n=3, m=3, n=5, m=1 and n=2, m=6.  The labeled table stream, which lists
+# every labeled table for the oracles and random_structures, stops at
+# n=3, m=2 and n=4, m=1.
 MAX_TABLE_CELLS = 18
 MAX_CANONICAL_CELLS = 27
 # n! m! relabelings, which the canonical search holds in one list
@@ -112,7 +114,7 @@ class EnumSpec:
                 f"n={self.n}, m={self.m} is past the desk-scale guard of the canonical table "
                 f"stream, which both sweep modes walk: m * n^2 = {cells} cells of at most "
                 f"{MAX_CANONICAL_CELLS}, n! m! = {group} relabelings of at most {MAX_RELABELINGS}; "
-                f"the largest supported are n=3, m=3, n=5, m=1 and n=1, m=8")
+                f"the largest supported are n=3, m=3, n=5, m=1, n=2, m=6 and n=1, m=8")
         if not self.canonical_only and cells > MAX_TABLE_CELLS:
             raise ValueError(
                 f"m * n^2 = {cells} exceeds the desk-scale guard of {MAX_TABLE_CELLS} for the "
@@ -137,6 +139,13 @@ def enumerate_tables(spec: EnumSpec, prefix=()):
     the unpartitioned stream.  Pinned cells are checked as they are
     placed, like every other cell.
     """
+    yield from (t for t, _ in _walk(spec, prefix))
+
+
+def _walk(spec: EnumSpec, prefix=()):
+    """enumerate_tables' stream as (table, tied) pairs: tied lists the
+    table's automorphisms but the identity, in _relabelings order, and
+    is empty without canonical_only."""
     spec.validate()
     n, m = spec.n, spec.m
     total = m * n * n
@@ -151,18 +160,20 @@ def enumerate_tables(spec: EnumSpec, prefix=()):
     yield from _extend([-1] * total, 0, choices, n, m, _cell_instances(n, m), relabelings)
 
 
-def _extend(cells, pos, choices, n, m, instances, relabelings):
+def _extend(cells, pos, choices, n, m, instances, tied):
     """Fill cell pos with each of its choices in turn and recurse past the
-    fills that break no associativity instance and that no relabeling
-    makes smaller; cells before pos are filled, those after are not."""
+    fills that break no associativity instance and that no relabeling in
+    tied makes smaller, with the relabelings still tied; cells before pos
+    are filled, those after are not."""
     if pos == len(cells):
-        yield _tables_from_cells(cells, n, m)
+        yield _tables_from_cells(cells, n, m), tied
         return
     for v in choices[pos]:
         cells[pos] = v
-        if (next(_associativity_failures(cells, instances[pos], n), None) is None
-                and not _relabeled_prefix_is_smaller(cells, pos, relabelings)):
-            yield from _extend(cells, pos + 1, choices, n, m, instances, relabelings)
+        if next(_associativity_failures(cells, instances[pos], n), None) is None:
+            still = _tied(cells, pos, tied)
+            if still is not None:
+                yield from _extend(cells, pos + 1, choices, n, m, instances, still)
     cells[pos] = -1
 
 
@@ -186,23 +197,29 @@ def _cell_instances(n: int, m: int) -> tuple:
     return tuple(map(tuple, buckets))
 
 
-def _relabeled_prefix_is_smaller(cells, pos, relabelings) -> bool:
-    """Whether some relabeling makes the filled cells 0..pos smaller.
+def _tied(cells, pos, relabelings):
+    """The relabelings that leave the filled cells 0..pos undecided or
+    equal, or None when one makes them smaller.
 
     Relabeled cell k is pi[cells[table_src[k]]]; the comparison runs
     k = 0, 1, ... and stops undecided at the first k whose source is
     not filled yet.  A decision there holds for every completion."""
-    for pi, table_src, _ in relabelings:
+    tied = []
+    for r in relabelings:
+        pi, table_src, _ = r
         for k in range(pos + 1):
             src = table_src[k]
             if src > pos:
+                tied.append(r)
                 break
             moved = pi[cells[src]]
             if moved != cells[k]:
                 if moved < cells[k]:
-                    return True
+                    return None
                 break
-    return False
+        else:
+            tied.append(r)
+    return tied
 
 
 def enumerate_tables_naive(spec: EnumSpec):
@@ -364,30 +381,18 @@ def _relabelings(n: int, m: int) -> tuple:
     return tuple(out)
 
 
-def _table_automorphisms(t: GammaTables) -> dict:
-    """Per order map (as order_src) of the relabelings that fix the table,
-    how many of them induce it; the identity map comes first and counts
-    the letter maps that fix the table with every element in place.  Each
-    relabeled cell is compared as it is made, up to the first difference."""
-    cells = tuple(v for table in t.op for row in table for v in row)
-    autos = {}
-    for pi, table_src, order_src in _relabelings(t.n, t.m):
-        if all(pi[cells[j]] == c for j, c in zip(table_src, cells)):
-            autos[order_src] = autos.get(order_src, 0) + 1
-    return autos
-
-
-def _minimal_orders(t: GammaTables, keep: int) -> tuple:
-    """The posets of mask keep that no automorphism of table t maps to a
-    smaller flattened relation, and per automorphism order map, the mask
-    of those posets it fixes with the map's multiplicity.  Relabeled
-    entry k is entry order_src[k], so per map the columns are compared
-    position by position over all posets at once: a poset is smaller
-    after relabeling when, at the first moved entry that differs, it
-    loses a pair, and fixed when no moved entry differs."""
+def _minimal_orders(t: GammaTables, keep: int, tied) -> tuple:
+    """The posets of mask keep that no automorphism of table t (tied, as
+    _walk hands them over, and the identity) maps to a smaller flattened
+    relation, and per automorphism, the identity's first, the mask of
+    those posets it fixes.  Relabeled entry k is entry order_src[k], so
+    per automorphism the columns are compared position by position over
+    all posets at once: a poset is smaller after relabeling when, at the
+    first moved entry that differs, it loses a pair, and fixed when no
+    moved entry differs."""
     cols = _poset_columns(t.n)
     fixed = []
-    for order_src, count in _table_automorphisms(t).items():
+    for _, _, order_src in tied:
         same, smaller = keep, 0
         for k, src in enumerate(order_src):
             if src != k:
@@ -397,15 +402,15 @@ def _minimal_orders(t: GammaTables, keep: int) -> tuple:
                 if not same:
                     break
         keep &= ~smaller
-        fixed.append((same, count))
-    return keep, fixed
+        fixed.append(same)
+    return keep, [keep, *fixed]
 
 
-def _table_structures(spec: EnumSpec, t: GammaTables):
+def _table_structures(spec: EnumSpec, t: GammaTables, tied):
     """The structures over table t that enumerate_structures keeps."""
     keep = _compatible_orders(t)
     if spec.canonical_only:
-        keep = _minimal_orders(t, keep)[0]
+        keep = _minimal_orders(t, keep, tied)[0]
     posets = all_partial_orders(t.n)
     for i in setcalc._members(keep):
         yield PoGammaSemigroup(tables=t, order=posets[i])
@@ -422,8 +427,8 @@ def enumerate_structures(spec: EnumSpec, prefix=()):
     are minimal over their relabelings, so no table is rejected after it
     is found.
     """
-    for t in enumerate_tables(spec, prefix):
-        yield from _table_structures(spec, t)
+    for t, tied in _walk(spec, prefix):
+        yield from _table_structures(spec, t, tied)
 
 
 @lru_cache(maxsize=None)
@@ -520,46 +525,31 @@ def _violations(s: PoGammaSemigroup, ids) -> list:
             for report in theorems.run_selected(s, ids) if report.status == "violation"]
 
 
-def _tally(spec: EnumSpec, ids, structures) -> SweepReport:
-    """Tally the structures, each classified and checked on its own: the
-    brute oracle of the sliced tally, and with no structures the empty
-    report a merge starts from.  The lists are left unsorted and uncapped
-    for _merge_partitions."""
-    r = SweepReport(spec.n, spec.m, spec.canonical_only, True, tuple(ids))
-    for s in structures:
-        flags = classify(s)
-        r.structures += 1
-        for key, flag in flags.items():
-            setattr(r, f"{key}_structures", getattr(r, f"{key}_structures") + flag)
-        if flags["product_property"] and not flags["completely_regular"]:
-            r.product_without_cr += 1
-            r.product_without_cr_examples.append(s)
-        r.violations += _violations(s, ids)
-    return r
-
-
-def _table_tally(spec: EnumSpec, ids, t: GammaTables) -> SweepReport:
-    """Tally canonical table t's share of the sweep by popcount over masks
-    of its kept posets (setcalc._Slice): each classify flag and each
-    selected claim's violations are decided for every poset at once.
+def _table_tally(spec: EnumSpec, ids, walked) -> SweepReport:
+    """Tally the share of the sweep of canonical table t, walked as
+    (t, tied), by popcount over masks of its kept posets (setcalc._Slice):
+    each classify flag and each selected claim's violations are decided
+    for every poset at once.
 
     A canonical sweep counts each canonical structure over t once.  A
     labeled sweep counts it once per structure in its orbit,
-    n! m! / |Stab(S)|, where Stab(S) holds the relabelings that fix both
-    its table and its order (orbit-stabilizer), so the posets are grouped
-    by that weight and each isomorphism class is decided once.  Only the
+    n! m! / |Stab(S)|, where Stab(S) holds the automorphisms of t that
+    also fix its order (orbit-stabilizer), so the posets are grouped by
+    that weight and each isomorphism class is decided once.  Only the
     posets the report lists are built as structures, a labeled sweep
     listing each of their images: a gap example as it is, and a structure
     some selected claim's mask marks with the selected checkers run on it,
     so every listed witness is the one the per-structure checkers give.
-    The lists are left unsorted and uncapped for _merge_partitions."""
-    keep, fixed = _minimal_orders(t, _compatible_orders(t))
+    Examples are cut to the SWEEP_EXAMPLE_CAP smallest, all that
+    _merge_partitions can keep, and violations are left unsorted."""
+    t, tied = walked
+    keep, fixed = _minimal_orders(t, _compatible_orders(t), tied)
     if spec.canonical_only:
         weights = {1: keep}
     else:
         group, weights = len(_relabelings(t.n, t.m)), {}
         for i in setcalc._members(keep):
-            weight = group // sum(count for mask, count in fixed if mask >> i & 1)
+            weight = group // sum(mask >> i & 1 for mask in fixed)
             weights[weight] = weights.get(weight, 0) | 1 << i
     sl = setcalc._Slice(setcalc._table_facts(t), _poset_columns(t.n), keep)
     flags = _classify_slice(sl)
@@ -567,7 +557,7 @@ def _table_tally(spec: EnumSpec, ids, t: GammaTables) -> SweepReport:
     violated = 0
     for tid in ids:
         violated |= theorems.MASKS[tid](sl)
-    r = _tally(spec, ids, ())
+    r = SweepReport(spec.n, spec.m, spec.canonical_only, True, tuple(ids))
     counted = {"structures": keep, "product_without_cr": gap,
                **{f"{key}_structures": flag for key, flag in flags.items()}}
     for name, mask in counted.items():
@@ -581,6 +571,8 @@ def _table_tally(spec: EnumSpec, ids, t: GammaTables) -> SweepReport:
             r.product_without_cr_examples += listed
         if violated >> i & 1:
             r.violations += [v for image in listed for v in _violations(image, ids)]
+    r.product_without_cr_examples.sort(key=structure_encoding)
+    del r.product_without_cr_examples[SWEEP_EXAMPLE_CAP:]
     return r
 
 
@@ -589,15 +581,13 @@ def _merge_partitions(spec: EnumSpec, ids, parts) -> SweepReport:
     structure_encoding: the order of the labeled and the canonical
     streams alike.  The sort is stable, so a structure's violations stay
     in catalog order, and examples are cut to SWEEP_EXAMPLE_CAP."""
-    merged = _tally(spec, ids, ())
-    examples = merged.product_without_cr_examples
+    merged = SweepReport(spec.n, spec.m, spec.canonical_only, True, tuple(ids))
     for p in parts:
         for name in _TALLIES:
             # lists grow in place, so a merge never recopies what it already holds
             setattr(merged, name, iadd(getattr(merged, name), getattr(p, name)))
-        if p.product_without_cr_examples:
-            examples.sort(key=structure_encoding)
-            del examples[SWEEP_EXAMPLE_CAP:]
+    merged.product_without_cr_examples.sort(key=structure_encoding)
+    del merged.product_without_cr_examples[SWEEP_EXAMPLE_CAP:]
     merged.violations.sort(key=lambda v: structure_encoding(v.structure))
     return merged
 
@@ -623,7 +613,7 @@ def sweep(spec: EnumSpec, theorem_ids=None, workers: int = 1) -> SweepReport:
         raise ValueError(f"unknown theorem ids: {sorted(unknown)}")
     workers = min(workers, os.cpu_count() or 1)
     tally = partial(_table_tally, spec, ids)
-    tables = enumerate_tables(walk)
+    tables = _walk(walk)
     head = list(islice(tables, workers * SWEEP_CHUNK))
     stream = chain(head, tables)
     if workers == 1 or len(head) < workers * SWEEP_CHUNK:

@@ -3,6 +3,7 @@
 import hashlib
 import multiprocessing
 import random
+import re
 from collections import Counter
 from functools import lru_cache
 from itertools import permutations, product, starmap
@@ -102,8 +103,15 @@ def test_spec_guard(monkeypatch):
     assert MAX_RELABELINGS == factorial(8)
     EnumSpec(1, 8).validate()
     EnumSpec(1, 9, canonical_only=False).validate()
-    with pytest.raises(ValueError, match="canonical table stream"):
+    with pytest.raises(ValueError, match="canonical table stream") as refused:
         EnumSpec(1, 9).validate()
+    # every size the message names is admitted, and one more letter is not
+    named = re.findall(r"n=(\d+), m=(\d+)", str(refused.value).split("largest supported")[1])
+    assert sorted(named) == [("1", "8"), ("2", "6"), ("3", "3"), ("5", "1")]
+    for n, m in named:
+        EnumSpec(int(n), int(m)).validate()
+        with pytest.raises(ValueError, match="canonical table stream"):
+            EnumSpec(int(n), int(m) + 1).validate()
     # both sweep modes walk the canonical stream, so a sweep is held to its
     # guard whatever the mode
     walked = []
@@ -112,7 +120,7 @@ def test_spec_guard(monkeypatch):
         walked.append(spec)
         return iter(())
 
-    monkeypatch.setattr(enumeration, "enumerate_tables", no_tables)
+    monkeypatch.setattr(enumeration, "_walk", no_tables)
     for n, m in ((3, 3), (5, 1)):
         assert sweep(EnumSpec(n, m, canonical_only=False)).structures == 0
     assert walked == [EnumSpec(3, 3), EnumSpec(5, 1)]
@@ -135,6 +143,9 @@ def test_prefix_partition_reassembles_the_stream():
         full = list(enumerate_tables(spec))
         by_first = [t for v in range(spec.n) for t in enumerate_tables(spec, prefix=(v,))]
         assert by_first == full
+        # and each table's tied relabelings, which the sweeps read
+        assert [w for v in range(spec.n) for w in enumeration._walk(spec, prefix=(v,))] == \
+            list(enumeration._walk(spec))
     full = list(enumerate_tables(LABELED_SPEC_2_1))
     by_pair = [t for v in product(range(2), repeat=2)
                for t in enumerate_tables(LABELED_SPEC_2_1, prefix=v)]
@@ -160,21 +171,25 @@ def _cells(t):
     return tuple(v for table in t.op for row in table for v in row)
 
 
-@pytest.mark.parametrize("n,m,labeled", [(3, 1, 113), (3, 2, 413), (2, 3, 26),
-                                         (4, 1, 3492), (3, 3, 1397)])
+@pytest.mark.parametrize("n,m,labeled", [(1, 1, 1), (1, 2, 1), (2, 1, 8), (2, 2, 14),
+                                         (2, 3, 26), (3, 1, 113), (3, 2, 413), (3, 3, 1397),
+                                         (4, 1, 3492), (5, 1, 183732)])
 def test_labeled_table_count_is_the_orbit_sum_of_canonical_tables(n, m, labeled):
-    # orbit-stabilizer over S_n x S_m, each stabilizer counted directly
-    # from images built in full, which also holds _table_automorphisms
-    # (stopping each image at its first differing cell) to the brute count
+    # orbit-stabilizer over S_n x S_m, each stabilizer the identity and
+    # the relabelings the canonical walk leaves tied with the table, held
+    # relabeling by relabeling to the stabilizer found from images built
+    # in full (on every tenth table at (5, 1)); at m = 1 the sums are
+    # OEIS A023814
     group = enumeration._relabelings(n, m)
     assert len(group) == factorial(n) * factorial(m)
+    walked = _census_walk() if (n, m) == (5, 1) else enumeration._walk(EnumSpec(n, m))
     orbit_sum = 0
-    for t in enumerate_tables(EnumSpec(n, m)):
-        cells = _cells(t)
-        stabilizer = Counter(order_src for pi, src, order_src in group
-                             if tuple(pi[cells[j]] for j in src) == cells)
-        assert list(enumeration._table_automorphisms(t).items()) == list(stabilizer.items())
-        orbit_sum += len(group) // stabilizer.total()
+    for index, (t, tied) in enumerate(walked):
+        if (n, m) != (5, 1) or index % 10 == 0:
+            cells = _cells(t)
+            stabilizer = [r for r in group if tuple(r[0][cells[j]] for j in r[1]) == cells]
+            assert [group[0], *tied] == stabilizer
+        orbit_sum += len(group) // (1 + len(tied))
     assert orbit_sum == labeled
     if n * n * m <= MAX_TABLE_CELLS:
         assert len(table_pool(n, m)) == labeled
@@ -438,10 +453,20 @@ def test_sweep_labeled_4_1():
 
 
 def _brute_sweep(spec):
-    # the labeled stream itself, every structure tallied on its own
+    # the labeled stream itself, every structure classified and checked on
+    # its own, and the lists left to the merge to sort and cap
     ids = theorems.THEOREM_IDS
-    return enumeration._merge_partitions(
-        spec, ids, [enumeration._tally(spec, ids, enumerate_structures(spec))])
+    r = enumeration.SweepReport(spec.n, spec.m, spec.canonical_only, True, ids)
+    for s in enumerate_structures(spec):
+        flags = classify(s)
+        r.structures += 1
+        for key, flag in flags.items():
+            setattr(r, f"{key}_structures", getattr(r, f"{key}_structures") + flag)
+        if flags["product_property"] and not flags["completely_regular"]:
+            r.product_without_cr += 1
+            r.product_without_cr_examples.append(s)
+        r.violations += enumeration._violations(s, ids)
+    return enumeration._merge_partitions(spec, ids, [r])
 
 
 def _plant_violations(monkeypatch):
@@ -495,7 +520,7 @@ def test_labeled_sweep_checks_each_class_once(monkeypatch):
 
     def counted_tables(spec, *args):
         walked.append(spec)
-        return enumerate_tables(spec, *args)
+        return walk(spec, *args)
 
     def counted_run(s, ids):
         checked.append(s)
@@ -504,8 +529,8 @@ def test_labeled_sweep_checks_each_class_once(monkeypatch):
     def refuse(s):
         raise AssertionError("a sweep decides its flags over the slice")
 
-    run_selected = theorems.run_selected
-    monkeypatch.setattr(enumeration, "enumerate_tables", counted_tables)
+    run_selected, walk = theorems.run_selected, enumeration._walk
+    monkeypatch.setattr(enumeration, "_walk", counted_tables)
     monkeypatch.setattr(theorems, "run_selected", counted_run)
     monkeypatch.setattr(enumeration, "classify", refuse)
     report = sweep(LABELED_SPEC_3_2)
@@ -560,11 +585,12 @@ def test_sweep_generates_the_table_stream_once(monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return enumerate_tables(*args, **kwargs)
+        return walk(*args, **kwargs)
 
+    walk = enumeration._walk
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(multiprocessing, "Pool", _InProcessPool)
-    monkeypatch.setattr(enumeration, "enumerate_tables", counted)
+    monkeypatch.setattr(enumeration, "_walk", counted)
     assert sweep(EnumSpec(2, 2), workers=3) == solo
     assert len(calls) == 1
 
@@ -702,8 +728,8 @@ def test_table_counts_up_to_anti_isomorphism(n, m, count):
     # when it is the least of its own and its reversal's canonical forms.
     # For m = 1 these are the semigroups up to isomorphism and
     # anti-isomorphism, OEIS A001423
-    tables = _census_tables() if (n, m) == (5, 1) else enumerate_tables(EnumSpec(n, m))
-    assert sum(_cells(t) <= _canonical_cells(_reversed(t)) for t in tables) == count
+    walked = _census_walk() if (n, m) == (5, 1) else enumeration._walk(EnumSpec(n, m))
+    assert sum(_cells(t) <= _canonical_cells(_reversed(t)) for t, _ in walked) == count
 
 
 @pytest.mark.parametrize("n,m,labeled", [(2, 2, 34), (3, 1, 971), (2, 3, 62), (3, 2, 3203)])
@@ -757,8 +783,8 @@ def test_sweep_fills_the_posets_before_the_pool_forks(monkeypatch):
 
 
 @lru_cache(maxsize=None)
-def _census_tables():
-    return tuple(enumerate_tables(EnumSpec(5, 1)))
+def _census_walk():
+    return tuple(enumeration._walk(EnumSpec(5, 1)))
 
 
 def test_five_element_census_slice():
@@ -766,10 +792,11 @@ def test_five_element_census_slice():
     # semigroups of order 5 up to isomorphism; every tenth canonical
     # table then carries 20,675 canonical structures (198,838 over all)
     assert len(all_partial_orders(5)) == 4231
-    tables = _census_tables()
-    assert len(tables) == 1915
+    walked = _census_walk()
+    assert len(walked) == 1915
     spec = EnumSpec(5, 1)
-    assert sum(1 for t in tables[::10] for _ in enumeration._table_structures(spec, t)) == 20675
+    assert sum(1 for t, tied in walked[::10]
+               for _ in enumeration._table_structures(spec, t, tied)) == 20675
 
 
 def _bits(mask, i):
@@ -822,14 +849,14 @@ def _assert_slice_matches_each_structure(t, keep):
 @pytest.mark.parametrize("n,m", CENSUS)
 def test_sliced_facts_match_each_structure(n, m):
     spec = EnumSpec(n, m)
-    for t in enumerate_tables(spec):
-        keep = enumeration._minimal_orders(t, enumeration._compatible_orders(t))[0]
+    for t, tied in enumeration._walk(spec):
+        keep = enumeration._minimal_orders(t, enumeration._compatible_orders(t), tied)[0]
         _assert_slice_matches_each_structure(t, keep)
 
 
 def test_sliced_facts_match_each_structure_on_the_census_slice():
-    for t in _census_tables()[::10]:
-        keep = enumeration._minimal_orders(t, enumeration._compatible_orders(t))[0]
+    for t, tied in _census_walk()[::10]:
+        keep = enumeration._minimal_orders(t, enumeration._compatible_orders(t), tied)[0]
         _assert_slice_matches_each_structure(t, keep)
 
 
