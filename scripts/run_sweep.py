@@ -1,9 +1,10 @@
 """Sweep every supported size and print one tally line per combination.
 
 Runs the canonical enumeration with all nine claim checkers for each
-(n, m) inside the cell guard and reports structure counts, regularity
-class tallies, the product-property gap, and violations.  With --out-dir
-the machine report for each size is also written to disk.
+(n, m) in COMBOS, every size up to (3, 3) and (4, 1), and reports
+structure counts, regularity class tallies, the product-property gap,
+and violations.  With --out-dir the machine report for each size is
+also written to disk.
 
 The gap column counts structures with the bi-ideal product property
 (every bi-ideal B equals (BB]) that are not completely regular: each one

@@ -36,14 +36,14 @@ popcount.  A labeled sweep counts each canonical structure
 n! m! / |Stab| times, the size of its orbit, where the stabilizer holds
 the relabelings that fix both its table and its order; the automorphism
 comparison that picks the minimal orders also records which posets each
-automorphism fixes, and the posets are grouped by that weight.  Only the
-structures a report lists are built: a gap example as it is, since the
-flags do not change under relabeling, and a class some claim's mask
-marks as violated with the selected checkers run on it.  A labeled sweep
-lists each of their labeled images.  So every listed witness comes from
-the per-structure checkers, which stay the oracle of the masks, as the
-labeled stream, which no sweep walks, and the tests' brute tally stay
-the oracle of the labeled report.
+automorphism fixes, and the posets are grouped by that weight.  A class
+the report lists is taken as the byte encodings of its images off
+_relabelings, the identity's alone in a canonical sweep, and only what
+the report keeps is built: the SWEEP_EXAMPLE_CAP smallest gap examples,
+as the flags do not change under relabeling, and every image of a class
+some claim's mask marks as violated, with the selected checkers run on
+it, the oracle of the masks.  relabel, the labeled stream and the
+tests' brute tally, which no sweep calls, are the oracle of the report.
 
 A sweep generates the table stream once and maps one per-table tally
 over it, with the builtin map on one worker or a short stream and
@@ -119,7 +119,7 @@ class EnumSpec:
             raise ValueError(
                 f"m * n^2 = {cells} exceeds the desk-scale guard of {MAX_TABLE_CELLS} for the "
                 f"labeled table stream, which lists every labeled table; the largest supported "
-                f"are n=3, m=2 and n=4, m=1")
+                f"are n=3, m=2, n=4, m=1, n=2, m=4 and n=1, m=18")
 
 
 def _tables_from_cells(cells, n, m) -> GammaTables:
@@ -314,8 +314,8 @@ def enumerate_orders(tables: GammaTables):
 
 def relabel(s: PoGammaSemigroup, pi, sigma) -> PoGammaSemigroup:
     """Transport the structure along element map pi and letter map sigma
-    (both old index -> new index).  A labeled sweep builds with it the
-    images of each class its report lists."""
+    (both old index -> new index); the brute oracle's relabeling, which
+    no sweep calls."""
     n, m = s.n, s.m
     op = s.tables.op
     leq = s.order.leq
@@ -509,14 +509,11 @@ _TALLIES = tuple(f.name for f in fields(SweepReport)
                  if f.default is not MISSING or f.default_factory is not MISSING)
 
 
-def _images(s: PoGammaSemigroup) -> list:
-    """The distinct relabelings of s, by ascending structure_encoding."""
-    images = {}
-    for sigma in permutations(range(s.m)):
-        for pi in permutations(range(s.n)):
-            image = relabel(s, pi, sigma)
-            images.setdefault(structure_encoding(image), image)
-    return [images[key] for key in sorted(images)]
+def _decode(spec: EnumSpec, key: bytes, tables=None, order=None) -> PoGammaSemigroup:
+    """The structure of encoding key; tables and order, when given, are key's own."""
+    n = spec.n
+    order = order or OrderRelation(n=n, leq=tuple(zip(*[map(bool, key[spec.m * n * n:])] * n)))
+    return PoGammaSemigroup(tables=tables or _tables_from_cells(key, n, spec.m), order=order)
 
 
 def _violations(s: PoGammaSemigroup, ids) -> list:
@@ -535,21 +532,23 @@ def _table_tally(spec: EnumSpec, ids, walked) -> SweepReport:
     labeled sweep counts it once per structure in its orbit,
     n! m! / |Stab(S)|, where Stab(S) holds the automorphisms of t that
     also fix its order (orbit-stabilizer), so the posets are grouped by
-    that weight and each isomorphism class is decided once.  Only the
-    posets the report lists are built as structures, a labeled sweep
-    listing each of their images: a gap example as it is, and a structure
-    some selected claim's mask marks with the selected checkers run on it,
-    so every listed witness is the one the per-structure checkers give.
-    Examples are cut to the SWEEP_EXAMPLE_CAP smallest, all that
-    _merge_partitions can keep, and violations are left unsorted."""
+    that weight and each isomorphism class is decided once.  A poset the
+    report lists is taken as its images' encodings, the identity's alone
+    in a canonical sweep: image cell k is pi[cells[table_src[k]]] and image
+    entry k is leq[order_src[k]].  Gap examples stay encodings, cut to
+    the SWEEP_EXAMPLE_CAP smallest, which _merge_partitions builds.  Each
+    image of a structure a selected claim's mask marks is built, over t
+    and its poset where it keeps them, so its checkers reread the witness
+    lists the slice grew; violations are left unsorted."""
     t, tied = walked
     keep, fixed = _minimal_orders(t, _compatible_orders(t), tied)
+    relabelings = _relabelings(t.n, t.m)
     if spec.canonical_only:
-        weights = {1: keep}
+        relabelings, weights = relabelings[:1], {1: keep}
     else:
-        group, weights = len(_relabelings(t.n, t.m)), {}
+        weights = {}
         for i in setcalc._members(keep):
-            weight = group // sum(mask >> i & 1 for mask in fixed)
+            weight = len(relabelings) // sum(mask >> i & 1 for mask in fixed)
             weights[weight] = weights.get(weight, 0) | 1 << i
     sl = setcalc._Slice(setcalc._table_facts(t), _poset_columns(t.n), keep)
     flags = _classify_slice(sl)
@@ -563,31 +562,36 @@ def _table_tally(spec: EnumSpec, ids, walked) -> SweepReport:
     for name, mask in counted.items():
         setattr(r, name, sum(weight * (mask & members).bit_count()
                              for weight, members in weights.items()))
-    posets = all_partial_orders(t.n)
+    posets, cells = all_partial_orders(t.n), bytes(chain.from_iterable(chain.from_iterable(t.op)))
+    images = [(bytes([pi[cells[k]] for k in table_src]), order_src)
+              for pi, table_src, order_src in relabelings] if gap | violated else []
+    examples = set()
     for i in setcalc._members(gap | violated):
-        s = PoGammaSemigroup(tables=t, order=posets[i])
-        listed = [s] if spec.canonical_only else _images(s)
+        leq = bytes(chain.from_iterable(posets[i].leq))
+        listed = sorted({table + bytes([leq[k] for k in order_src]) for table, order_src in images})
         if gap >> i & 1:
-            r.product_without_cr_examples += listed
+            examples.update(listed)
         if violated >> i & 1:
-            r.violations += [v for image in listed for v in _violations(image, ids)]
-    r.product_without_cr_examples.sort(key=structure_encoding)
-    del r.product_without_cr_examples[SWEEP_EXAMPLE_CAP:]
+            for key in listed:
+                s = _decode(spec, key, t if key.startswith(cells) else None,
+                            posets[i] if key.endswith(leq) else None)
+                r.violations += _violations(s, ids)
+    r.product_without_cr_examples = sorted(examples)[:SWEEP_EXAMPLE_CAP]
     return r
 
 
 def _merge_partitions(spec: EnumSpec, ids, parts) -> SweepReport:
     """Add up the parts' tallies and join their lists, sorted by
-    structure_encoding: the order of the labeled and the canonical
-    streams alike.  The sort is stable, so a structure's violations stay
-    in catalog order, and examples are cut to SWEEP_EXAMPLE_CAP."""
+    structure_encoding, the order of both streams; the sort is stable, so
+    a structure's violations stay in catalog order.  Examples arrive as
+    encodings, and only the SWEEP_EXAMPLE_CAP smallest are built."""
     merged = SweepReport(spec.n, spec.m, spec.canonical_only, True, tuple(ids))
     for p in parts:
         for name in _TALLIES:
             # lists grow in place, so a merge never recopies what it already holds
             setattr(merged, name, iadd(getattr(merged, name), getattr(p, name)))
-    merged.product_without_cr_examples.sort(key=structure_encoding)
-    del merged.product_without_cr_examples[SWEEP_EXAMPLE_CAP:]
+    kept = sorted(merged.product_without_cr_examples)[:SWEEP_EXAMPLE_CAP]
+    merged.product_without_cr_examples = [_decode(spec, key) for key in kept]
     merged.violations.sort(key=lambda v: structure_encoding(v.structure))
     return merged
 

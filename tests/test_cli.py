@@ -190,6 +190,11 @@ SWEEP_SHA256 = {
     "--n 3 --m 2": "444f4826980b5355b4589d84b886975c8c6044e6fc04f2b05137e772b9beef7d",
     "--n 3 --m 2 --canonical": "3e878331cf2f24cb45c9b454db243329050704b4ab6a1c28f4a16a3dbb9456cb",
     "--n 3 --m 3 --canonical": "e483e7c1bfcfa15f259ca64633f61244b7db8c18ca3742321652a61c6e9e25ac",
+    # the widest relabeling lists the guards admit: 2! 6! = 1,440 and 8! = 40,320
+    "--n 2 --m 6 --canonical": "e1f6c43dae8fb546fe1122a940b3c5ad7a54be30ae18a54e350eae4184880f85",
+    "--n 1 --m 8 --canonical": "72c68a403873aaeb9dde8eb35684f47b73506a8e5824a04006639a10477308d5",
+    "--n 2 --m 6": "72afdd5ab5cc7fed7fe846c812b51dfd57e52461ba69186d8efde7d49b17bd1f",
+    "--n 1 --m 8": "de6dd2971229fa44dd33b9b117bc6c33c27c5a8669aafe0fd28e9f5bc5fc0639",
 }
 
 

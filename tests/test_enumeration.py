@@ -96,6 +96,15 @@ def test_spec_guard(monkeypatch):
     for n, m in ((5, 1), (3, 3)):
         with pytest.raises(ValueError, match="labeled table stream"):
             EnumSpec(n, m, canonical_only=False).validate()
+    with pytest.raises(ValueError, match="labeled table stream") as refused:
+        EnumSpec(1, 19, canonical_only=False).validate()
+    # every size the message names is admitted, and one more letter is not
+    named = re.findall(r"n=(\d+), m=(\d+)", str(refused.value).split("largest supported")[1])
+    assert sorted(named) == [("1", "18"), ("2", "4"), ("3", "2"), ("4", "1")]
+    for n, m in named:
+        EnumSpec(int(n), int(m), canonical_only=False).validate()
+        with pytest.raises(ValueError, match="labeled table stream"):
+            EnumSpec(int(n), int(m) + 1, canonical_only=False).validate()
     assert MAX_TABLE_CELLS == 18
     assert MAX_CANONICAL_CELLS == 27
     # the canonical search lists all n! m! relabelings, 8! at (1, 8); the
@@ -454,7 +463,8 @@ def test_sweep_labeled_4_1():
 
 def _brute_sweep(spec):
     # the labeled stream itself, every structure classified and checked on
-    # its own, and the lists left to the merge to sort and cap
+    # its own, and the lists left to the merge to sort and cap: the gap
+    # examples as encodings, of which the merge builds the ones it keeps
     ids = theorems.THEOREM_IDS
     r = enumeration.SweepReport(spec.n, spec.m, spec.canonical_only, True, ids)
     for s in enumerate_structures(spec):
@@ -464,7 +474,7 @@ def _brute_sweep(spec):
             setattr(r, f"{key}_structures", getattr(r, f"{key}_structures") + flag)
         if flags["product_property"] and not flags["completely_regular"]:
             r.product_without_cr += 1
-            r.product_without_cr_examples.append(s)
+            r.product_without_cr_examples.append(structure_encoding(s))
         r.violations += enumeration._violations(s, ids)
     return enumeration._merge_partitions(spec, ids, [r])
 
@@ -516,7 +526,7 @@ def test_labeled_sweep_lists_each_image_of_a_violated_class(monkeypatch):
 
 
 def test_labeled_sweep_checks_each_class_once(monkeypatch):
-    walked, checked = [], []
+    walked, checked, built = [], [], []
 
     def counted_tables(spec, *args):
         walked.append(spec)
@@ -526,13 +536,22 @@ def test_labeled_sweep_checks_each_class_once(monkeypatch):
         checked.append(s)
         return run_selected(s, ids)
 
-    def refuse(s):
-        raise AssertionError("a sweep decides its flags over the slice")
+    def counted_structure(**parts):
+        built.append(structure(**parts))
+        return built[-1]
+
+    def refuse(*args):
+        raise AssertionError("a sweep decides its flags over the slice and lists its "
+                             "images from _relabelings")
 
     run_selected, walk = theorems.run_selected, enumeration._walk
+    structure = enumeration.PoGammaSemigroup
     monkeypatch.setattr(enumeration, "_walk", counted_tables)
     monkeypatch.setattr(theorems, "run_selected", counted_run)
-    monkeypatch.setattr(enumeration, "classify", refuse)
+    monkeypatch.setattr(enumeration, "PoGammaSemigroup", counted_structure)
+    # the oracles stay off the sweep path
+    for name in ("classify", "relabel", "canonical_key"):
+        monkeypatch.setattr(enumeration, name, refuse)
     report = sweep(LABELED_SPEC_3_2)
     assert report.structures == 3203
     assert report.product_without_cr == 0 and report.violations == []
@@ -540,11 +559,24 @@ def test_labeled_sweep_checks_each_class_once(monkeypatch):
     # slice, and checkers run only for the classes a claim's mask marks:
     # none, not even the gap classes, which are listed as they are
     assert walked == [EnumSpec(3, 2, canonical_only=True)]
+    assert built == []
     for spec, gap in ((EnumSpec(4, 1), 12), (EnumSpec(4, 1, canonical_only=False), 288)):
+        built.clear()
         report = sweep(spec)
         assert report.product_without_cr == gap and report.violations == []
+        # of the gap structures or images, only the examples the report keeps are built
+        assert built == report.product_without_cr_examples
+        assert len(built) == SWEEP_EXAMPLE_CAP
     assert walked[1:] == [EnumSpec(4, 1)] * 2
     assert checked == []
+    # a violated class has each of its images built and checked once
+    _plant_violations(monkeypatch)
+    built.clear()
+    report = sweep(EnumSpec(3, 1, canonical_only=False))
+    assert report.product_without_cr_examples == []
+    assert len(report.violations) == report.structures - report.completely_regular_structures
+    assert built == checked
+    assert sorted(built, key=structure_encoding) == [v.structure for v in report.violations]
 
 
 def test_sweep_caps_workers_at_the_cpu_count(monkeypatch):
@@ -736,11 +768,16 @@ def test_table_counts_up_to_anti_isomorphism(n, m, count):
 def test_relabeling_keeps_classes_and_statuses(n, m, labeled):
     # the invariance a labeled sweep rests on: it classifies and checks one
     # structure per isomorphism class and counts the outcome for each of
-    # the class's labeled structures
+    # the class's labeled structures; each orbit is built by the oracle,
+    # relabel over every (pi, sigma)
     images = 0
     for s in structure_pool(n, m):
         expected = (classify(s), [r.status for r in theorems.run_all(s)])
-        for image in enumeration._images(s):
+        orbit = {}
+        for pi, sigma in product(permutations(range(n)), permutations(range(m))):
+            image = relabel(s, pi, sigma)
+            orbit[structure_encoding(image)] = image
+        for image in orbit.values():
             assert (classify(image), [r.status for r in theorems.run_all(image)]) == expected
             images += 1
     assert images == labeled
