@@ -59,7 +59,6 @@ import random
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import lru_cache, partial
 from itertools import chain, islice, permutations, product
-from math import factorial
 from operator import iadd
 
 from . import setcalc, theorems
@@ -76,15 +75,14 @@ from .model import (
     validate_order,
 )
 
-# m * n^2 table cells; keeps the search at desk scale.  Both sweep modes
-# walk the canonical tables, one per isomorphism class, which reach
-# n=3, m=3, n=5, m=1 and n=2, m=6.  The labeled table stream, which lists
-# every labeled table for the oracles and random_structures, stops at
-# n=3, m=2 and n=4, m=1.
+# Letters per universe size n on the canonical table stream, which both
+# sweep modes walk; an n past the table is refused.  Each entry is the
+# largest m whose one-worker CLI sweep, canonical and labeled, ends well
+# inside 60 s on a 2-core VM ((4, 4) takes 22-29 s, (3, 7) 72 s) and whose
+# n! m! relabelings, held in one list, stay within 8! ((2, 8) lists 80,640).
+MAX_LETTERS = {1: 8, 2: 7, 3: 6, 4: 4, 5: 1}
+# m * n^2 cells of the labeled table stream (the oracles, random_structures)
 MAX_TABLE_CELLS = 18
-MAX_CANONICAL_CELLS = 27
-# n! m! relabelings, which the canonical search holds in one list
-MAX_RELABELINGS = 40_320
 
 # naive generation enumerates n ** (m * n^2) raw fills
 MAX_NAIVE_FILLS = 1_000_000
@@ -105,21 +103,22 @@ class EnumSpec:
     canonical_only: bool = True
 
     def validate(self) -> None:
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"need n >= 1 and m >= 1, got n={self.n}, m={self.m}")
-        cells = self.m * self.n * self.n
-        group = factorial(self.n) * factorial(self.m)
-        if self.canonical_only and (cells > MAX_CANONICAL_CELLS or group > MAX_RELABELINGS):
+        n, m = self.n, self.m
+        if n < 1 or m < 1:
+            raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+        if self.canonical_only and m > MAX_LETTERS.get(n, 0):
             raise ValueError(
-                f"n={self.n}, m={self.m} is past the desk-scale guard of the canonical table "
-                f"stream, which both sweep modes walk: m * n^2 = {cells} cells of at most "
-                f"{MAX_CANONICAL_CELLS}, n! m! = {group} relabelings of at most {MAX_RELABELINGS}; "
-                f"the largest supported are n=3, m=3, n=5, m=1, n=2, m=6 and n=1, m=8")
-        if not self.canonical_only and cells > MAX_TABLE_CELLS:
+                f"n={n}, m={m} is past the desk-scale guard of the canonical table stream, "
+                f"which both sweep modes walk; {_largest(MAX_LETTERS.items())}")
+        if not self.canonical_only and m * n * n > MAX_TABLE_CELLS:
             raise ValueError(
-                f"m * n^2 = {cells} exceeds the desk-scale guard of {MAX_TABLE_CELLS} for the "
-                f"labeled table stream, which lists every labeled table; the largest supported "
-                f"are n=3, m=2, n=4, m=1, n=2, m=4 and n=1, m=18")
+                f"m * n^2 = {m * n * n} exceeds the desk-scale guard of {MAX_TABLE_CELLS} for the "
+                f"labeled table stream, which lists every labeled table; " + _largest(
+                    (k, MAX_TABLE_CELLS // k**2) for k in MAX_LETTERS if k**2 <= MAX_TABLE_CELLS))
+
+
+def _largest(sizes) -> str:
+    return "the largest supported are " + ", ".join(f"n={n}, m={m}" for n, m in sizes)
 
 
 def _tables_from_cells(cells, n, m) -> GammaTables:
@@ -509,10 +508,10 @@ _TALLIES = tuple(f.name for f in fields(SweepReport)
                  if f.default is not MISSING or f.default_factory is not MISSING)
 
 
-def _decode(spec: EnumSpec, key: bytes, tables=None, order=None) -> PoGammaSemigroup:
-    """The structure of encoding key; tables and order, when given, are key's own."""
+def _decode(spec: EnumSpec, key: bytes, tables=None) -> PoGammaSemigroup:
+    """The structure of encoding key; tables, when given, are key's own."""
     n = spec.n
-    order = order or OrderRelation(n=n, leq=tuple(zip(*[map(bool, key[spec.m * n * n:])] * n)))
+    order = OrderRelation(n=n, leq=tuple(zip(*[map(bool, key[spec.m * n * n:])] * n)))
     return PoGammaSemigroup(tables=tables or _tables_from_cells(key, n, spec.m), order=order)
 
 
@@ -536,10 +535,10 @@ def _table_tally(spec: EnumSpec, ids, walked) -> SweepReport:
     report lists is taken as its images' encodings, the identity's alone
     in a canonical sweep: image cell k is pi[cells[table_src[k]]] and image
     entry k is leq[order_src[k]].  Gap examples stay encodings, cut to
-    the SWEEP_EXAMPLE_CAP smallest, which _merge_partitions builds.  Each
-    image of a structure a selected claim's mask marks is built, over t
-    and its poset where it keeps them, so its checkers reread the witness
-    lists the slice grew; violations are left unsorted."""
+    the SWEEP_EXAMPLE_CAP smallest, which _merge_partitions builds.  Every
+    image of a structure a selected claim's mask marks is checked in
+    encoding order (table-major, t first) over one tables object per
+    table, so each table tier is built once."""
     t, tied = walked
     keep, fixed = _minimal_orders(t, _compatible_orders(t), tied)
     relabelings = _relabelings(t.n, t.m)
@@ -565,17 +564,18 @@ def _table_tally(spec: EnumSpec, ids, walked) -> SweepReport:
     posets, cells = all_partial_orders(t.n), bytes(chain.from_iterable(chain.from_iterable(t.op)))
     images = [(bytes([pi[cells[k]] for k in table_src]), order_src)
               for pi, table_src, order_src in relabelings] if gap | violated else []
-    examples = set()
+    examples, marked = set(), set()
     for i in setcalc._members(gap | violated):
         leq = bytes(chain.from_iterable(posets[i].leq))
-        listed = sorted({table + bytes([leq[k] for k in order_src]) for table, order_src in images})
+        listed = {table + bytes([leq[k] for k in order_src]) for table, order_src in images}
         if gap >> i & 1:
-            examples.update(listed)
+            examples |= listed
         if violated >> i & 1:
-            for key in listed:
-                s = _decode(spec, key, t if key.startswith(cells) else None,
-                            posets[i] if key.endswith(leq) else None)
-                r.violations += _violations(s, ids)
+            marked |= listed
+    for key in sorted(marked):
+        if not key.startswith(cells):   # the next image table; t's own come first
+            cells, t = key[:len(cells)], _tables_from_cells(key, t.n, t.m)
+        r.violations += _violations(_decode(spec, key, t), ids)
     r.product_without_cr_examples = sorted(examples)[:SWEEP_EXAMPLE_CAP]
     return r
 

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -195,6 +196,11 @@ SWEEP_SHA256 = {
     "--n 1 --m 8 --canonical": "72c68a403873aaeb9dde8eb35684f47b73506a8e5824a04006639a10477308d5",
     "--n 2 --m 6": "72afdd5ab5cc7fed7fe846c812b51dfd57e52461ba69186d8efde7d49b17bd1f",
     "--n 1 --m 8": "de6dd2971229fa44dd33b9b117bc6c33c27c5a8669aafe0fd28e9f5bc5fc0639",
+    # sizes past the cell guard that preceded MAX_LETTERS
+    "--n 3 --m 4 --canonical": "64571cd2f4ed79fafe6d45d10829911719d0f22fbf0c17b2646c73677ed733d2",
+    "--n 3 --m 4": "6a147845d20fe75b771661805c6004ac4f250ac5066baad8d10afef9f655bd2e",
+    "--n 4 --m 2 --canonical": "4f749a2e78369b67eee1dbee75bfe16fbe73375e8bbf9193836df7043ed997b5",
+    "--n 4 --m 2": "b359d0139c0307eead6e7686c018375498ed5b993ca04f397383cbc0f372da4e",
 }
 
 
@@ -349,20 +355,25 @@ def test_sweep_worker_counts_agree_byte_for_byte(tmp_path, capsys):
 
 
 def test_sweep_guard_exits_2(capsys):
-    assert main(["sweep", "--n", "4", "--m", "2"]) == 2
+    assert main(["sweep", "--n", "5", "--m", "2"]) == 2
     assert "desk-scale" in capsys.readouterr().err
 
 
 def test_sweep_guard_refuses_a_relabeling_list_past_its_bound(monkeypatch, capsys):
-    # 12 cells pass both cell guards, but the canonical walk would list all
-    # 12! relabelings; the guard refuses before any is listed
+    # the canonical walk would list all n! m! relabelings, 12! at (1, 12);
+    # the guard refuses from its letter cap alone, before any is listed and
+    # without computing n! m!, which at m = 3,000,000 alone takes a minute
     def refuse(n, m):
         raise AssertionError(f"{n}! {m}! relabelings listed")
 
     monkeypatch.setattr(enumeration, "_relabelings", refuse)
-    assert main(["sweep", "--n", "1", "--m", "12"]) == 2
-    err = capsys.readouterr().err
-    assert "desk-scale" in err and "479001600 relabelings" in err
+    for argv in (["--n", "1", "--m", "12"], ["--n", "1", "--m", "3000000"],
+                 ["--n", "1000000", "--m", "1", "--canonical"]):
+        started = time.perf_counter()
+        assert main(["sweep", *argv]) == 2
+        assert time.perf_counter() - started < 1
+        err = capsys.readouterr().err
+        assert "desk-scale" in err and "n=1, m=8, n=2, m=7" in err
 
 
 def test_sweep_rejects_bad_worker_count(capsys):

@@ -22,8 +22,7 @@ from conftest import (
 )
 from pogamma import cli, enumeration, model, setcalc, theorems
 from pogamma.enumeration import (
-    MAX_CANONICAL_CELLS,
-    MAX_RELABELINGS,
+    MAX_LETTERS,
     MAX_TABLE_CELLS,
     SWEEP_EXAMPLE_CAP,
     EnumSpec,
@@ -90,7 +89,7 @@ def test_spec_guard(monkeypatch):
     # canonical search lists one table per class, so it gets the larger guard
     EnumSpec(5, 1).validate()
     EnumSpec(3, 3).validate()
-    for n, m in ((4, 2), (0, 1), (1, 0)):
+    for n, m in ((6, 1), (5, 2), (4, 5), (1, 9), (0, 1), (1, 0)):
         with pytest.raises(ValueError):
             EnumSpec(n, m).validate()
     for n, m in ((5, 1), (3, 3)):
@@ -106,17 +105,17 @@ def test_spec_guard(monkeypatch):
         with pytest.raises(ValueError, match="labeled table stream"):
             EnumSpec(int(n), int(m) + 1, canonical_only=False).validate()
     assert MAX_TABLE_CELLS == 18
-    assert MAX_CANONICAL_CELLS == 27
-    # the canonical search lists all n! m! relabelings, 8! at (1, 8); the
-    # labeled stream lists none
-    assert MAX_RELABELINGS == factorial(8)
+    # the canonical search lists all n! m! relabelings, at most 8! at the
+    # admitted sizes; the labeled stream lists none
+    assert MAX_LETTERS == {1: 8, 2: 7, 3: 6, 4: 4, 5: 1}
+    assert max(factorial(n) * factorial(m) for n, m in MAX_LETTERS.items()) == factorial(8)
     EnumSpec(1, 8).validate()
     EnumSpec(1, 9, canonical_only=False).validate()
     with pytest.raises(ValueError, match="canonical table stream") as refused:
         EnumSpec(1, 9).validate()
     # every size the message names is admitted, and one more letter is not
     named = re.findall(r"n=(\d+), m=(\d+)", str(refused.value).split("largest supported")[1])
-    assert sorted(named) == [("1", "8"), ("2", "6"), ("3", "3"), ("5", "1")]
+    assert sorted(named) == [("1", "8"), ("2", "7"), ("3", "6"), ("4", "4"), ("5", "1")]
     for n, m in named:
         EnumSpec(int(n), int(m)).validate()
         with pytest.raises(ValueError, match="canonical table stream"):
@@ -133,7 +132,7 @@ def test_spec_guard(monkeypatch):
     for n, m in ((3, 3), (5, 1)):
         assert sweep(EnumSpec(n, m, canonical_only=False)).structures == 0
     assert walked == [EnumSpec(3, 3), EnumSpec(5, 1)]
-    for n, m in ((4, 2), (1, 9)):
+    for n, m in ((4, 5), (1, 9)):
         with pytest.raises(ValueError, match="canonical table stream"):
             sweep(EnumSpec(n, m, canonical_only=False))
     assert len(walked) == 2
@@ -569,14 +568,26 @@ def test_labeled_sweep_checks_each_class_once(monkeypatch):
         assert len(built) == SWEEP_EXAMPLE_CAP
     assert walked[1:] == [EnumSpec(4, 1)] * 2
     assert checked == []
-    # a violated class has each of its images built and checked once
+    # a violated class has each of its images built and checked once, and
+    # the images over one table share its table tier
+    table_tiers = Counter()
+
+    class CountedTables(setcalc._TableFacts):
+        def __init__(self, tables):
+            table_tiers[tables.op] += 1
+            super().__init__(tables)
+
     _plant_violations(monkeypatch)
+    monkeypatch.setattr(setcalc, "_TableFacts", CountedTables)
     built.clear()
     report = sweep(EnumSpec(3, 1, canonical_only=False))
     assert report.product_without_cr_examples == []
     assert len(report.violations) == report.structures - report.completely_regular_structures
     assert built == checked
     assert sorted(built, key=structure_encoding) == [v.structure for v in report.violations]
+    canonical = {t.op for t in enumerate_tables(EnumSpec(3, 1))}
+    assert set(table_tiers) == canonical | {v.structure.tables.op for v in report.violations}
+    assert set(table_tiers.values()) == {1}
 
 
 def test_sweep_caps_workers_at_the_cpu_count(monkeypatch):
@@ -754,7 +765,9 @@ def _canonical_cells(t):
 
 
 @pytest.mark.parametrize("n,m,count", [(1, 1, 1), (2, 1, 4), (3, 1, 18), (4, 1, 126), (5, 1, 1160),
-                                       (2, 2, 6), (2, 3, 7), (3, 2, 41), (3, 3, 71)])
+                                       (2, 2, 6), (2, 3, 7), (3, 2, 41), (3, 3, 71),
+                                       (4, 2, 491), (3, 4, 112), (2, 7, 13), (3, 5, 162),
+                                       (4, 3, 1381)])
 def test_table_counts_up_to_anti_isomorphism(n, m, count):
     # classes up to relabeling and reversal: a canonical table is counted
     # when it is the least of its own and its reversal's canonical forms.
