@@ -32,18 +32,28 @@ A sweep, labeled or canonical, walks the canonical stream and decides
 every canonical structure over a table at once: each classify flag and
 each selected claim's violations is a mask over the table's kept
 posets (setcalc's slice, theorems.MASKS), and every tally is a
-popcount.  A labeled sweep counts each canonical structure
-n! m! / |Stab| times, the size of its orbit, where the stabilizer holds
-the relabelings that fix both its table and its order; the automorphism
-comparison that picks the minimal orders also records which posets each
-automorphism fixes, and the posets are grouped by that weight.  A class
-the report lists is taken as the byte encodings of its images off
-_relabelings, the identity's alone in a canonical sweep, and only what
-the report keeps is built: the SWEEP_EXAMPLE_CAP smallest gap examples,
-as the flags do not change under relabeling, and every image of a class
-some claim's mask marks as violated, with the selected checkers run on
-it, the oracle of the masks.  relabel, the labeled stream and the
-tests' brute tally, which no sweep calls, are the oracle of the report.
+popcount.  It tallies one table per class up to isomorphism and
+reversal (a g' b = b g a over the same order), which keeps every flag
+and every claim's status: the walk's full stream stays as it is, and
+at each table the reversed relabelings are compared with it once.  A
+table whose reversal has the smaller canonical form is left to that
+form, and one that is not self-dual stands for its dual too, counted
+twice, with its dual's structures listed as the reversals of its own.
+A labeled sweep counts each canonical structure n! m! / |Stab| times,
+the size of its orbit, where the stabilizer holds the relabelings that
+fix both its table and its order; the automorphism comparison that
+picks the minimal orders also records which posets each automorphism
+fixes, and the posets are grouped by that weight.  A class the report
+lists is taken as the byte encodings of its images off _relabelings,
+the identity's alone in a canonical sweep, and off _reversals for a
+dual, the least alone in a canonical sweep, which is the dual's
+canonical form as the encoding is table-major.  Only what the report
+keeps is built: the SWEEP_EXAMPLE_CAP smallest gap examples, as the
+flags do not change under relabeling or reversal, and every image of a
+class some claim's mask marks as violated, with the selected checkers
+run on it, the oracle of the masks.  relabel, the labeled stream and
+the tests' brute tallies, which no sweep calls, are the oracle of the
+report.
 
 A sweep generates the table stream once and maps one per-table tally
 over it, with the builtin map on one worker or a short stream and
@@ -79,7 +89,9 @@ from .model import (
 # sweep modes walk; an n past the table is refused.  Each entry is the
 # largest m whose one-worker CLI sweep, canonical and labeled, ends well
 # inside 60 s on a 2-core VM ((4, 4) takes 22-29 s, (3, 7) 72 s) and whose
-# n! m! relabelings, held in one list, stay within 8! ((2, 8) lists 80,640).
+# n! m! relabelings stay within 8! ((2, 8) lists 80,640).  Their reversals
+# are a second list of the same length for n >= 2, and the first list
+# itself at n = 1, so the widest list is still 8! entries, at (1, 8).
 MAX_LETTERS = {1: 8, 2: 7, 3: 6, 4: 4, 5: 1}
 # m * n^2 cells of the labeled table stream (the oracles, random_structures)
 MAX_TABLE_CELLS = 18
@@ -380,6 +392,18 @@ def _relabelings(n: int, m: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _reversals(n: int, m: int) -> tuple:
+    """_relabelings composed with reversal, a g' b = b g a: cell (g, a, b)
+    is read from (g, b, a) before the relabeling, and order_src is kept.
+    Reversal moves no cell at n = 1, so there they are _relabelings."""
+    if n == 1:
+        return _relabelings(n, m)
+    swap = [k - k % (n * n) + k % n * n + k // n % n for k in range(m * n * n)]
+    return tuple((pi, tuple(swap[src] for src in table_src), order_src)
+                 for pi, table_src, order_src in _relabelings(n, m))
+
+
 def _minimal_orders(t: GammaTables, keep: int, tied) -> tuple:
     """The posets of mask keep that no automorphism of table t (tied, as
     _walk hands them over, and the identity) maps to a smaller flattened
@@ -527,27 +551,41 @@ def _table_tally(spec: EnumSpec, ids, walked) -> SweepReport:
     each classify flag and each selected claim's violations are decided
     for every poset at once.
 
-    A canonical sweep counts each canonical structure over t once.  A
-    labeled sweep counts it once per structure in its orbit,
-    n! m! / |Stab(S)|, where Stab(S) holds the automorphisms of t that
-    also fix its order (orbit-stabilizer), so the posets are grouped by
-    that weight and each isomorphism class is decided once.  A poset the
-    report lists is taken as its images' encodings, the identity's alone
-    in a canonical sweep: image cell k is pi[cells[table_src[k]]] and image
-    entry k is leq[order_src[k]].  Gap examples stay encodings, cut to
-    the SWEEP_EXAMPLE_CAP smallest, which _merge_partitions builds.  Every
-    image of a structure a selected claim's mask marks is checked in
-    encoding order (table-major, t first) over one tables object per
-    table, so each table tier is built once."""
+    Reversal keeps every flag and claim status, so t is tallied with its
+    dual, the canonical form of its reversal: nothing is tallied when a
+    reversed relabeling (_reversals) makes t smaller, as the dual is then
+    the smaller table and tallies t, and t counts twice when none ties
+    with it, as t is then not self-dual and the structures over the dual
+    are the reversals of its own.  A canonical sweep counts each
+    canonical structure over t once per such copy.  A labeled sweep
+    counts it once per structure in its orbit and its dual's,
+    n! m! / |Stab(S)| each, where Stab(S) holds the automorphisms of t
+    that also fix its order (orbit-stabilizer), so the posets are grouped
+    by that weight and each isomorphism class is decided once.  A poset the report lists is taken
+    as its images' encodings: image cell k is pi[cells[table_src[k]]] and
+    image entry k is leq[order_src[k]], over the identity alone in a
+    canonical sweep and every relabeling in a labeled one, and for a
+    dual, over every reversal, of which a canonical sweep keeps the least
+    image.  Gap examples stay encodings, cut to the SWEEP_EXAMPLE_CAP
+    smallest, which _merge_partitions builds.  Every image of a structure
+    a selected claim's mask marks is checked in encoding order
+    (table-major, t first) over one tables object per table, so each
+    table tier is built once."""
     t, tied = walked
+    r = SweepReport(spec.n, spec.m, spec.canonical_only, True, tuple(ids))
+    cells = bytes(chain.from_iterable(chain.from_iterable(t.op)))
+    self_dual = _tied(cells, len(cells) - 1, _reversals(t.n, t.m))
+    if self_dual is None:
+        return r
     keep, fixed = _minimal_orders(t, _compatible_orders(t), tied)
     relabelings = _relabelings(t.n, t.m)
+    copies = 1 if self_dual else 2
     if spec.canonical_only:
-        relabelings, weights = relabelings[:1], {1: keep}
+        weights = {copies: keep}
     else:
         weights = {}
         for i in setcalc._members(keep):
-            weight = len(relabelings) // sum(mask >> i & 1 for mask in fixed)
+            weight = copies * len(relabelings) // sum(mask >> i & 1 for mask in fixed)
             weights[weight] = weights.get(weight, 0) | 1 << i
     sl = setcalc._Slice(setcalc._table_facts(t), _poset_columns(t.n), keep)
     flags = _classify_slice(sl)
@@ -555,19 +593,23 @@ def _table_tally(spec: EnumSpec, ids, walked) -> SweepReport:
     violated = 0
     for tid in ids:
         violated |= theorems.MASKS[tid](sl)
-    r = SweepReport(spec.n, spec.m, spec.canonical_only, True, tuple(ids))
     counted = {"structures": keep, "product_without_cr": gap,
                **{f"{key}_structures": flag for key, flag in flags.items()}}
     for name, mask in counted.items():
         setattr(r, name, sum(weight * (mask & members).bit_count()
                              for weight, members in weights.items()))
-    posets, cells = all_partial_orders(t.n), bytes(chain.from_iterable(chain.from_iterable(t.op)))
-    images = [(bytes([pi[cells[k]] for k in table_src]), order_src)
-              for pi, table_src, order_src in relabelings] if gap | violated else []
-    examples, marked = set(), set()
+    sides = [relabelings[:1] if spec.canonical_only else relabelings]
+    if not self_dual:
+        sides.append(_reversals(t.n, t.m))
+    images = [[(bytes([pi[cells[k]] for k in table_src]), order_src)
+               for pi, table_src, order_src in side] for side in sides] if gap | violated else []
+    posets, examples, marked = all_partial_orders(t.n), set(), set()
     for i in setcalc._members(gap | violated):
         leq = bytes(chain.from_iterable(posets[i].leq))
-        listed = {table + bytes([leq[k] for k in order_src]) for table, order_src in images}
+        listed = set()
+        for side in images:
+            keys = {table + bytes([leq[k] for k in order_src]) for table, order_src in side}
+            listed |= {min(keys)} if spec.canonical_only else keys
         if gap >> i & 1:
             examples |= listed
         if violated >> i & 1:
@@ -622,7 +664,9 @@ def sweep(spec: EnumSpec, theorem_ids=None, workers: int = 1) -> SweepReport:
     stream = chain(head, tables)
     if workers == 1 or len(head) < workers * SWEEP_CHUNK:
         return _merge_partitions(spec, ids, map(tally, stream))
-    _poset_columns(spec.n)   # built once here, so forked workers inherit the posets
+    # built once here, so forked workers inherit the posets and the reversals
+    _poset_columns(spec.n)
+    _reversals(spec.n, spec.m)
     import multiprocessing   # here, so that a start which runs no pool does not import it
     with multiprocessing.Pool(workers) as pool:
         return _merge_partitions(spec, ids, pool.imap(tally, stream, SWEEP_CHUNK))

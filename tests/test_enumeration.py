@@ -460,10 +460,14 @@ def test_sweep_labeled_4_1():
     assert digest == "22b3ff27eff7056bcf9b24e03522f14b7c5526787b4611f4e0dc010c6b9f3b02"
 
 
+CENSUS = ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1))
+
+
 def _brute_sweep(spec):
-    # the labeled stream itself, every structure classified and checked on
-    # its own, and the lists left to the merge to sort and cap: the gap
-    # examples as encodings, of which the merge builds the ones it keeps
+    # the structure stream itself, labeled or canonical, every structure
+    # classified and checked on its own, and the lists left to the merge
+    # to sort and cap: the gap examples as encodings, of which the merge
+    # builds the ones it keeps
     ids = theorems.THEOREM_IDS
     r = enumeration.SweepReport(spec.n, spec.m, spec.canonical_only, True, ids)
     for s in enumerate_structures(spec):
@@ -511,6 +515,22 @@ def test_labeled_sweep_equals_the_brute_tally(monkeypatch, n, m, planted):
     assert serialize_report(report) == serialize_report(brute)
     assert len(report.violations) == planted * (report.structures
                                                 - report.completely_regular_structures)
+
+
+@pytest.mark.parametrize("planted", [True, False])
+@pytest.mark.parametrize("n,m", CENSUS)
+def test_canonical_sweep_equals_the_brute_tally(monkeypatch, n, m, planted):
+    # a table that is not self-dual also lists its dual's structures, each
+    # as the least of its reversed images, so the brute walk over every
+    # canonical table and order is the oracle of that minimum
+    if planted:
+        _plant_violations(monkeypatch)
+    spec = EnumSpec(n, m)
+    brute = _brute_sweep(spec)
+    for workers in (1, 2):
+        report = sweep(spec, workers=workers)
+        assert report == brute
+        assert serialize_report(report) == serialize_report(brute)
 
 
 def test_labeled_sweep_lists_each_image_of_a_violated_class(monkeypatch):
@@ -585,8 +605,10 @@ def test_labeled_sweep_checks_each_class_once(monkeypatch):
     assert len(report.violations) == report.structures - report.completely_regular_structures
     assert built == checked
     assert sorted(built, key=structure_encoding) == [v.structure for v in report.violations]
-    canonical = {t.op for t in enumerate_tables(EnumSpec(3, 1))}
-    assert set(table_tiers) == canonical | {v.structure.tables.op for v in report.violations}
+    # the tables tallied, one per class up to relabeling and reversal, and
+    # the images of their violated classes, their duals' images among them
+    tallied = {t.op for t in _tallied(enumerate_tables(EnumSpec(3, 1)))}
+    assert set(table_tiers) == tallied | {v.structure.tables.op for v in report.violations}
     assert set(table_tiers.values()) == {1}
 
 
@@ -695,8 +717,10 @@ def test_sweep_scans_each_witness_once_and_builds_only_listed_structures(monkeyp
     spec = EnumSpec(4, 1)
     report = sweep(spec)
     assert report.structures == 4753 and report.violations == []
-    # one table tier per table, and no structure tier
-    assert sorted(table_tiers) == sorted(t.op for t in enumerate_tables(spec))
+    # one table tier per table tallied, 126 of the 188 canonical tables,
+    # and no structure tier
+    assert sorted(table_tiers) == sorted(t.op for t in _tallied(enumerate_tables(spec)))
+    assert len(table_tiers) == 126
     assert set(table_tiers.values()) == {1}
     assert report.product_without_cr == 12 and structure_tiers == []
     assert lists and set(lists.values()) == {1}
@@ -719,9 +743,6 @@ def test_sweep_scans_each_witness_once_and_builds_only_listed_structures(monkeyp
     # the counters see a frozenset definition when one is called
     setcalc.is_bi_ideal(make_min_chain(), {0})
     assert set(frozenset_calls) == {"set_product", "downward_closure"}
-
-
-CENSUS = ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1))
 
 
 def _reversed(t):
@@ -764,17 +785,22 @@ def _canonical_cells(t):
     return min(tuple(pi[cells[j]] for j in src) for pi, src, _ in enumeration._relabelings(t.n, t.m))
 
 
+def _tallied(tables):
+    # the canonical tables up to reversal: one is kept when it is the least
+    # of its own and its reversal's canonical forms
+    return [t for t in tables if _cells(t) <= _canonical_cells(_reversed(t))]
+
+
 @pytest.mark.parametrize("n,m,count", [(1, 1, 1), (2, 1, 4), (3, 1, 18), (4, 1, 126), (5, 1, 1160),
                                        (2, 2, 6), (2, 3, 7), (3, 2, 41), (3, 3, 71),
                                        (4, 2, 491), (3, 4, 112), (2, 7, 13), (3, 5, 162),
                                        (4, 3, 1381)])
 def test_table_counts_up_to_anti_isomorphism(n, m, count):
-    # classes up to relabeling and reversal: a canonical table is counted
-    # when it is the least of its own and its reversal's canonical forms.
+    # classes up to relabeling and reversal, the tables a sweep tallies.
     # For m = 1 these are the semigroups up to isomorphism and
     # anti-isomorphism, OEIS A001423
     walked = _census_walk() if (n, m) == (5, 1) else enumeration._walk(EnumSpec(n, m))
-    assert sum(_cells(t) <= _canonical_cells(_reversed(t)) for t, _ in walked) == count
+    assert len(_tallied(t for t, _ in walked)) == count
 
 
 @pytest.mark.parametrize("n,m,labeled", [(2, 2, 34), (3, 1, 971), (2, 3, 62), (3, 2, 3203)])
@@ -819,17 +845,19 @@ def test_sweep_fills_the_posets_before_the_pool_forks(monkeypatch):
 
     class Recording(_InProcessPool):
         def __init__(self, processes):
-            filled.append(enumeration._poset_columns.cache_info().currsize)
+            filled.append((enumeration._poset_columns.cache_info().currsize,
+                           enumeration._reversals.cache_info().currsize))
 
     # a labeled sweep walks the canonical tables: 54 at (3, 2), more than
     # the pool's first round of 2 * SWEEP_CHUNK
     spec = LABELED_SPEC_3_2
     solo = sweep(spec, workers=1)
     enumeration._poset_columns.cache_clear()
+    enumeration._reversals.cache_clear()
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(multiprocessing, "Pool", Recording)
     assert sweep(spec, workers=2) == solo
-    assert filled == [1]
+    assert filled == [(1, 1)]
 
 
 @lru_cache(maxsize=None)
