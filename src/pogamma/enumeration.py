@@ -55,20 +55,23 @@ run on it, the oracle of the masks.  relabel, the labeled stream and
 the tests' brute tallies, which no sweep calls, are the oracle of the
 report.
 
-A sweep generates the table stream once and maps one per-table tally
-over it, with the builtin map on one worker or a short stream and
-Pool.imap otherwise; both return per-table results in stream order, and
-the merge sorts listed structures by encoding, so any worker count
-reproduces the single-worker report byte for byte.
+A sweep generates the table stream once and tallies it table by table
+in process, until the sweep has used SWEEP_POOL_AFTER_S of CPU; with
+more than one worker it then hands the rest of the stream to
+Pool.imap.  Both give per-table results in stream order, and the merge
+sorts listed structures by encoding, so any worker count, and any point
+at which the pool starts, reproduces the single-worker report byte for
+byte.
 """
 
 from __future__ import annotations
 
 import os
 import random
+import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import lru_cache, partial
-from itertools import chain, islice, permutations, product
+from itertools import chain, permutations, product
 from operator import iadd
 
 from . import setcalc, theorems
@@ -103,6 +106,15 @@ SWEEP_EXAMPLE_CAP = 10
 
 # tables per Pool.imap task: 1 pays a pipe round trip per table, 128 holds more results in memory
 SWEEP_CHUNK = 16
+
+# CPU seconds a sweep tallies in process before it starts a pool of more
+# than one worker.  Starting late costs at most T (1 - 1/K) of wall time
+# against pooling from the first table, 0.25 s on 2 workers, while an
+# empty Pool(2) plus the multiprocessing import cost about 0.04 s of CPU.
+# Canonical (4, 1), about 0.13 s of work, took 0.339 s of CPU on a pool
+# of 2 against 0.261 s in process, for 5 ms less wall time (CLI, medians
+# of 20, 2-core VM).
+SWEEP_POOL_AFTER_S = 0.5
 
 
 @dataclass(frozen=True)
@@ -231,6 +243,24 @@ def _tied(cells, pos, relabelings):
         else:
             tied.append(r)
     return tied
+
+
+def _self_dual(cells, reversals):
+    """Whether the full canonical table cells is self-dual: True when a
+    reversal maps it to itself, False when each maps it to a larger
+    table, None when one maps it to a smaller one.  The first tie
+    decides, since the reversed images are then the relabelings of
+    cells, over which cells is minimal."""
+    for pi, table_src, _ in reversals:
+        for k, src in enumerate(table_src):
+            moved = pi[cells[src]]
+            if moved != cells[k]:
+                if moved < cells[k]:
+                    return None
+                break
+        else:
+            return True
+    return False
 
 
 def enumerate_tables_naive(spec: EnumSpec):
@@ -574,7 +604,7 @@ def _table_tally(spec: EnumSpec, ids, walked) -> SweepReport:
     t, tied = walked
     r = SweepReport(spec.n, spec.m, spec.canonical_only, True, tuple(ids))
     cells = bytes(chain.from_iterable(chain.from_iterable(t.op)))
-    self_dual = _tied(cells, len(cells) - 1, _reversals(t.n, t.m))
+    self_dual = _self_dual(cells, _reversals(t.n, t.m))
     if self_dual is None:
         return r
     keep, fixed = _minimal_orders(t, _compatible_orders(t), tied)
@@ -638,6 +668,22 @@ def _merge_partitions(spec: EnumSpec, ids, parts) -> SweepReport:
     return merged
 
 
+def _tallies(tally, tables, workers: int):
+    """tally over every walked table, in stream order: in process until
+    the sweep has used SWEEP_POOL_AFTER_S of CPU, and then, with more
+    than one worker, by Pool.imap over the rest.  The in-process tallies
+    have filled the poset and reversal caches by then, so forked workers
+    inherit them."""
+    start = time.process_time()
+    for walked in tables:
+        yield tally(walked)
+        if workers > 1 and time.process_time() - start >= SWEEP_POOL_AFTER_S:
+            import multiprocessing   # here, so that a start which runs no pool does not import it
+            with multiprocessing.Pool(workers) as pool:
+                yield from pool.imap(tally, tables, SWEEP_CHUNK)
+            return
+
+
 def sweep(spec: EnumSpec, theorem_ids=None, workers: int = 1) -> SweepReport:
     """Tally every structure per spec by popcount, deciding each
     isomorphism class once and running the selected checkers only on the
@@ -645,11 +691,12 @@ def sweep(spec: EnumSpec, theorem_ids=None, workers: int = 1) -> SweepReport:
 
     Both modes walk the canonical table stream, so its guard is the one
     checked; it is generated once, here, and each table is tallied on its
-    own (_table_tally): by the builtin map when the worker count, capped
-    at the CPU count, is 1 or the stream ends within the pool's first
-    round of workers * SWEEP_CHUNK tables, and by Pool.imap otherwise.
-    Either map yields per-table results in stream order, and the merge
-    sorts what it lists, so the report is identical for any worker count.
+    own (_table_tally), in process until the sweep has used
+    SWEEP_POOL_AFTER_S of CPU, and after that by Pool.imap when the
+    worker count, capped at the CPUs this process may run on, is above 1
+    (_tallies).  A sweep that ends sooner never starts a pool.  Both
+    yield per-table results in stream order, and the merge sorts what it
+    lists, so the report is identical for any worker count.
     """
     walk = replace(spec, canonical_only=True)
     walk.validate()
@@ -657,16 +704,8 @@ def sweep(spec: EnumSpec, theorem_ids=None, workers: int = 1) -> SweepReport:
     unknown = set(ids) - set(theorems.THEOREM_IDS)
     if unknown:
         raise ValueError(f"unknown theorem ids: {sorted(unknown)}")
-    workers = min(workers, os.cpu_count() or 1)
+    # the CPUs this process may run on, which taskset shrinks, where the platform lists them
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, cpus or 1)
     tally = partial(_table_tally, spec, ids)
-    tables = _walk(walk)
-    head = list(islice(tables, workers * SWEEP_CHUNK))
-    stream = chain(head, tables)
-    if workers == 1 or len(head) < workers * SWEEP_CHUNK:
-        return _merge_partitions(spec, ids, map(tally, stream))
-    # built once here, so forked workers inherit the posets and the reversals
-    _poset_columns(spec.n)
-    _reversals(spec.n, spec.m)
-    import multiprocessing   # here, so that a start which runs no pool does not import it
-    with multiprocessing.Pool(workers) as pool:
-        return _merge_partitions(spec, ids, pool.imap(tally, stream, SWEEP_CHUNK))
+    return _merge_partitions(spec, ids, _tallies(tally, _walk(walk), workers))

@@ -16,6 +16,7 @@ from conftest import (
     nonempty_subsets,
     structure_pool,
 )
+from pogamma import enumeration
 from pogamma.cli import main
 from pogamma.enumeration import (
     EnumSpec,
@@ -50,7 +51,7 @@ def _sweep_pool():
     return [s for combo in COMBOS for s in structure_pool(*combo)]
 
 
-def test_criterion_1_full_sweep_is_clean_and_parallel_stable():
+def test_criterion_1_full_sweep_is_clean_and_parallel_stable(monkeypatch):
     start = time.perf_counter()
     reports = {}
     for combo in COMBOS:
@@ -61,6 +62,8 @@ def test_criterion_1_full_sweep_is_clean_and_parallel_stable():
         reports[combo] = report
     elapsed = time.perf_counter() - start
     assert elapsed < SWEEP_BUDGET_SECONDS
+    # every size ends before the pool's threshold; at 0 each table past the first is pooled
+    monkeypatch.setattr(enumeration, "SWEEP_POOL_AFTER_S", 0)
     for combo in COMBOS:
         parallel = sweep(EnumSpec(*combo), workers=2)
         assert serialize_report(parallel) == serialize_report(reports[combo])

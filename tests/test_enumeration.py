@@ -8,6 +8,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import permutations, product, starmap
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 
@@ -389,9 +390,10 @@ def test_sweep_labeled_2_1():
     assert sweep(EnumSpec(2, 1, canonical_only=False)).structures == 20
 
 
-def test_sweep_workers_do_not_change_the_report():
-    # (1, 1) has a single table, so some workers get none
-    # labeled (3, 2) walks 54 canonical tables, enough for a pool to start
+def test_sweep_workers_do_not_change_the_report(monkeypatch):
+    # at a threshold of 0 the pool takes every table past the first, so
+    # at (1, 1), a single table, it gets none
+    monkeypatch.setattr(enumeration, "SWEEP_POOL_AFTER_S", 0)
     for spec in (EnumSpec(2, 2), EnumSpec(3, 1), LABELED_SPEC_2_2, EnumSpec(1, 1),
                  LABELED_SPEC_3_2, LABELED_SPEC_3_3):
         solo = sweep(spec, workers=1)
@@ -434,8 +436,12 @@ def test_canonical_generation_never_calls_the_brute_key(monkeypatch):
     assert sweep(EnumSpec(2, 2), workers=2).structures == 15
 
 
-def test_sweep_canonical_4_1():
+def test_sweep_canonical_4_1(monkeypatch):
+    # (4, 1) ends in process before the pool's threshold; at 0 the pool
+    # starts after the first table, and its forked workers give the pin too
     report = sweep(EnumSpec(4, 1), workers=2)
+    monkeypatch.setattr(enumeration, "SWEEP_POOL_AFTER_S", 0)
+    assert sweep(EnumSpec(4, 1), workers=2) == report
     assert report.structures == 4753
     assert report.product_without_cr == 12
     assert len(report.product_without_cr_examples) == SWEEP_EXAMPLE_CAP
@@ -448,8 +454,10 @@ def test_sweep_canonical_4_1():
     assert gap in [structure_encoding(s) for s in report.product_without_cr_examples]
 
 
-def test_sweep_labeled_4_1():
+def test_sweep_labeled_4_1(monkeypatch):
     report = sweep(EnumSpec(4, 1, canonical_only=False), workers=2)
+    monkeypatch.setattr(enumeration, "SWEEP_POOL_AFTER_S", 0)
+    assert sweep(EnumSpec(4, 1, canonical_only=False), workers=2) == report
     assert report.structures == 107688
     assert report.product_without_cr == 288
     assert len(report.product_without_cr_examples) == SWEEP_EXAMPLE_CAP
@@ -617,9 +625,38 @@ def test_sweep_caps_workers_at_the_cpu_count(monkeypatch):
         raise AssertionError("one CPU runs the sweep in process")
 
     solo = sweep(EnumSpec(2, 2), workers=1)
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(enumeration, "SWEEP_POOL_AFTER_S", 0)
     monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    # an affinity set of one CPU, as under `taskset -c 0`, on a 4-CPU machine
+    _pretend_cpus(monkeypatch, 1, machine=4)
     assert sweep(EnumSpec(2, 2), workers=3) == solo
+    # where the platform has no affinity set, the machine's count
+    monkeypatch.delattr(enumeration.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 1)
+    assert sweep(EnumSpec(2, 2), workers=3) == solo
+
+
+def _pretend_cpus(monkeypatch, usable, machine=None):
+    """Let this process use usable CPUs of a machine with machine CPUs."""
+    monkeypatch.setattr(enumeration.os, "sched_getaffinity", lambda pid: set(range(usable)),
+                        raising=False)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: machine or usable)
+
+
+def _clock_per_table(monkeypatch, seconds):
+    """Make process_time read seconds of CPU per table tallied so far, in
+    process or in a pool; returns the list of tallied tables."""
+    tallied = []
+    tally = enumeration._table_tally
+
+    def counted(spec, ids, walked):
+        tallied.append(walked)
+        return tally(spec, ids, walked)
+
+    monkeypatch.setattr(enumeration, "_table_tally", counted)
+    monkeypatch.setattr(enumeration, "time",
+                        SimpleNamespace(process_time=lambda: seconds * len(tallied)))
+    return tallied
 
 
 class _InProcessPool:
@@ -653,7 +690,8 @@ def test_sweep_generates_the_table_stream_once(monkeypatch):
         return walk(*args, **kwargs)
 
     walk = enumeration._walk
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 4)
+    _pretend_cpus(monkeypatch, 4)
+    monkeypatch.setattr(enumeration, "SWEEP_POOL_AFTER_S", 0)
     monkeypatch.setattr(multiprocessing, "Pool", _InProcessPool)
     monkeypatch.setattr(enumeration, "_walk", counted)
     assert sweep(EnumSpec(2, 2), workers=3) == solo
@@ -841,6 +879,8 @@ def test_labeled_structure_count_is_the_orbit_sum_of_canonical_structures(n, m, 
 
 
 def test_sweep_fills_the_posets_before_the_pool_forks(monkeypatch):
+    # the table tallied in process before the pool starts fills both
+    # caches, which forked workers then inherit
     filled = []
 
     class Recording(_InProcessPool):
@@ -848,13 +888,12 @@ def test_sweep_fills_the_posets_before_the_pool_forks(monkeypatch):
             filled.append((enumeration._poset_columns.cache_info().currsize,
                            enumeration._reversals.cache_info().currsize))
 
-    # a labeled sweep walks the canonical tables: 54 at (3, 2), more than
-    # the pool's first round of 2 * SWEEP_CHUNK
     spec = LABELED_SPEC_3_2
     solo = sweep(spec, workers=1)
     enumeration._poset_columns.cache_clear()
     enumeration._reversals.cache_clear()
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    _pretend_cpus(monkeypatch, 2)
+    monkeypatch.setattr(enumeration, "SWEEP_POOL_AFTER_S", 0)
     monkeypatch.setattr(multiprocessing, "Pool", Recording)
     assert sweep(spec, workers=2) == solo
     assert filled == [(1, 1)]
@@ -958,9 +997,36 @@ def test_claim_masks_match_the_checkers_where_claims_fail():
 
 def test_sweep_runs_a_short_table_stream_in_process(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a stream shorter than the pool's first round runs in process")
+        raise AssertionError("a sweep that ends before the pool's threshold runs in process")
 
-    solo = sweep(EnumSpec(2, 2), workers=1)
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    spec = LABELED_SPEC_3_2
+    solo = sweep(spec, workers=1)
+    _pretend_cpus(monkeypatch, 2)
+    tallied = _clock_per_table(monkeypatch, 0.0)
     monkeypatch.setattr(multiprocessing, "Pool", refuse)
-    assert sweep(EnumSpec(2, 2), workers=2) == solo
+    assert sweep(spec, workers=2) == solo
+    assert len(tallied) == 54
+
+
+@pytest.mark.parametrize("after", [1, 20])
+def test_sweep_pools_the_rest_of_the_stream_once_the_clock_passes(monkeypatch, after):
+    # at one second per table, the pool starts after `after` tables and
+    # imaps each remaining one, and the report is the one-worker report
+    spec = LABELED_SPEC_3_2
+    solo = sweep(spec, workers=1)
+    pooled = []
+
+    class Recording(_InProcessPool):
+        def imap(self, func, iterable, chunksize=1):
+            assert chunksize == enumeration.SWEEP_CHUNK
+            return map(func, (pooled.append(walked) or walked for walked in iterable))
+
+    _pretend_cpus(monkeypatch, 2)
+    tallied = _clock_per_table(monkeypatch, 1.0)
+    monkeypatch.setattr(enumeration, "SWEEP_POOL_AFTER_S", after - 0.5)
+    monkeypatch.setattr(multiprocessing, "Pool", Recording)
+    report = sweep(spec, workers=2)
+    assert report == solo
+    assert serialize_report(report) == serialize_report(solo)
+    assert len(tallied) == 54
+    assert pooled == tallied[after:]
