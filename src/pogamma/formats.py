@@ -151,6 +151,17 @@ def save_structure(path, s: PoGammaSemigroup, name: str | None = None) -> None:
     Path(path).write_text(serialize_structure(s, name), encoding="utf-8")
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's dict; a repeated key, whose last value json would
+    keep silently, is a FormatError."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise FormatError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load_named(path) -> tuple[PoGammaSemigroup, str | None]:
     """Parse a structure file, then check every axiom before returning."""
     try:
@@ -158,7 +169,9 @@ def load_named(path) -> tuple[PoGammaSemigroup, str | None]:
     except UnicodeDecodeError as e:
         raise FormatError(f"{path}: not valid UTF-8: {e}") from e
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except FormatError as e:
+        raise FormatError(f"{path}: {e}") from e
     except ValueError as e:  # JSONDecodeError, or a number too long for int()
         raise FormatError(f"{path}: not valid JSON: {e}") from e
     except RecursionError as e:

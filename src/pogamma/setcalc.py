@@ -11,38 +11,39 @@ bitmask tables (element i is bit i, and subset B is bit B of a mask over
 subsets) kept in two tiers.  The table tier, _TableFacts, holds what the
 products alone decide: x g y over every letter, the products xB and AM,
 the fixed products the checkers read, the subset maps AA, A u AMA and
-AMB, and for each element and regularity kind a witness list.  Each
-regularity notion is an inequality a <= rhs with rhs a product, so the
-list holds the candidates of the scan, in scan order, that bring a new
-value of rhs, with the union mask of the values scanned so far; a list
-grows only as far as a query needs.  The structure tier, _OrderFacts,
-holds what the order decides, alone or with the products: up-sets,
-closures, bi-ideals, B(a), the product property and per kind the least
-element without a witness (one exists when the union mask meets the
-up-set of a).  Structures over one table object share its table tier.
+AMB, and for each element and regularity kind the union mask of the
+values its rhs takes.  Each regularity notion is an inequality a <= rhs,
+so a has a witness exactly where that mask meets the up-set of a.  Four
+kinds have an rhs that is a product of sets, and their masks are
+computed once per table from x g y; strong regularity adds a side
+condition, so its candidates are scanned once per table and element.
+The structure tier, _OrderFacts, holds what the order decides, alone or
+with the products: up-sets, closures, bi-ideals, B(a) and the product
+property.  Structures over one table object share its table tier.
 
 A sweep reads no structure tier for most structures.  The slice,
 _Slice, holds what one table decides over a set of posets at once, each
 fact the mask of the posets where it holds (poset i of
 all_partial_orders(n) as bit i): per kind, the posets where every
-element has a witness, read from the table tier's witness lists grown
-only until every poset is decided; per BMB-closed B, the posets where B
-is down-closed; and per subset S, the posets where each z lies in (S],
-which also groups the posets by the value of (S].  A sweep builds one
-table tier and one slice per table, and a structure tier only for each
-structure a claim's mask marks as violated.
+element has a witness, read from the table tier's union masks; per
+BMB-closed B, the posets where B is down-closed; and per subset S, the
+posets where each z lies in (S], which also groups the posets by the
+value of (S].  A sweep builds one table tier and one slice per table,
+and a structure tier only for each structure a claim's mask marks as
+violated.
 
 The frozenset functions (downward_closure, set_product, is_bi_ideal,
 semiprime_failure, ...) stay as the definitions, and the tests hold the
 tables against them.  The subset tables take 2^n entries, so past
 MAX_TABLE_ELEMENTS elements building them raises StructureTooLarge; the
-witness lists and up-sets need none of them.
+witness masks and up-sets need none of them.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 from .model import GammaTables, OrderRelation, PoGammaSemigroup
@@ -64,18 +65,41 @@ def _commute(op, a, x, g, u):
     return ax == op[g][x][a] == op[u][x][a] == op[u][a][x]
 
 
+def _times(pe, s: int, t: int) -> int:
+    """ST for masks S and T: the union of pe[x][y], the x g y over every
+    letter g, over the x in S and the y in T, each taken by lowest bit."""
+    out = 0
+    while s:
+        x = s & -s
+        s ^= x
+        row, rest = pe[x.bit_length() - 1], t
+        while rest:
+            y = rest & -rest
+            rest ^= y
+            out |= row[y.bit_length() - 1]
+    return out
+
+
 # kind -> (letter slots, rhs(op, a, element, *letters), side condition or
-# None): the kind holds for a at the data that meet the side condition and
-# give a <= rhs.  The one definition of each regularity inequality;
-# regularity() lists them in the notation of the paper.  The side condition
-# is tested first because it fails far more often than the inequality.
+# None, set form or None): the kind holds for a at the data that meet the
+# side condition and give a <= rhs.  The one definition of each regularity
+# inequality; regularity() lists them in the notation of the paper.  The
+# side condition is tested first because it fails far more often than the
+# inequality.  A kind without one has a set form(t, A, X), the rhs's own
+# parentheses over sets, with t(S, T) = ST over masks and A = {a}: it is
+# the mask of the rhs values over the candidates with element in X, for
+# every choice of letters, exactly (no associativity is assumed).  The
+# tests hold each form to the scan, X = {x} by X = {x}.
 _INEQUALITIES = {
-    "regular": (2, _regular_rhs, None),
-    "left-regular": (2, lambda op, a, z, g, u: op[u][op[g][z][a]][a], None),
-    "right-regular": (2, lambda op, a, y, g, u: op[u][op[g][a][a]][y], None),
+    "regular": (2, _regular_rhs, None, lambda t, a, x: t(t(a, x), a)),
+    "left-regular": (2, lambda op, a, z, g, u: op[u][op[g][z][a]][a], None,
+                     lambda t, a, z: t(t(z, a), a)),
+    "right-regular": (2, lambda op, a, y, g, u: op[u][op[g][a][a]][y], None,
+                      lambda t, a, y: t(t(a, a), y)),
     "completely-regular": (4, lambda op, a, x, g1, g2, g3, g4:
-                           op[g3][op[g2][op[g1][a][a]][x]][op[g4][a][a]], None),
-    "strongly-regular": (2, _regular_rhs, _commute),
+                           op[g3][op[g2][op[g1][a][a]][x]][op[g4][a][a]], None,
+                           lambda t, a, x: t(t(t(a, a), x), t(a, a))),
+    "strongly-regular": (2, _regular_rhs, _commute, None),
 }
 REGULARITY_KINDS = tuple(_INEQUALITIES)
 
@@ -233,61 +257,35 @@ def _subset_table_size(n: int) -> int:
     return 1 << n
 
 
+def _candidates(op, n: int, m: int, a: int, kind: str):
+    """(data, rhs) for each candidate of the kind at a that meets its side
+    condition, in the scan order of regularity()."""
+    letters, rhs, side, _ = _INEQUALITIES[kind]
+    for data in product(range(n), *[range(m)] * letters):
+        if side is None or side(op, a, *data):
+            yield data, rhs(op, a, *data)
+
+
 class _Witnesses:
-    """The candidates for one regularity kind at one element a, listed
-    lazily in the scan order of regularity().
+    """The scan of one regularity kind's candidates at one element a, in
+    the order of regularity(): reach[x] is the mask of the rhs values over
+    the candidates with element x and union that over every candidate,
+    and entries keeps (data, rhs) for each candidate whose rhs no earlier
+    one gave, so the first candidate whose rhs lies in a mask is always an
+    entry.  Strong regularity reads it, n m^2 candidates per element; for
+    the kinds with a set form it is the form's oracle."""
 
-    Candidates that fail the kind's side condition are skipped.  union is
-    the mask of the rhs values scanned so far and reach[x] that of the
-    ones with element x; entries keeps (data, rhs) for each candidate
-    whose rhs was not in union before it.  A candidate left out repeats
-    the rhs of an earlier entry, so the first candidate whose rhs lies in
-    a mask is always an entry."""
-
-    __slots__ = ("entries", "union", "reach", "_scan", "_op", "_a", "_kind")
+    __slots__ = ("reach", "union", "entries")
 
     def __init__(self, op, n: int, m: int, a: int, kind: str):
-        self.entries, self.union, self.reach = [], 0, [0] * n
-        self._scan = product(range(n), *[range(m)] * _INEQUALITIES[kind][0])
-        self._op, self._a, self._kind = op, a, kind
-
-    def _grow(self, up: int, pool: int):
-        """Scan on to the next candidate with its element in pool and its
-        rhs in up, and return its data; at the end of the scan, None, and
-        the scan is dropped."""
-        _, rhs, side = _INEQUALITIES[self._kind]
-        op, a = self._op, self._a
-        for data in self._scan:
-            if side is not None and not side(op, a, *data):
-                continue
-            v = rhs(op, a, *data)
+        reach, union, entries = [0] * n, 0, []
+        for data, v in _candidates(op, n, m, a, kind):
             bit = 1 << v
-            self.reach[data[0]] |= bit
-            if not self.union & bit:
-                self.union |= bit
-                self.entries.append((data, v))
-            if bit & up and pool >> data[0] & 1:
-                return data
-        self._scan = None
-        return None
-
-    def first(self, up: int):
-        """Data of the first candidate whose rhs lies in up, or None."""
-        if self.union & up:
-            return next(data for data, v in self.entries if up >> v & 1)
-        return None if self._scan is None else self._grow(up, -1)
-
-    def exists(self, up: int, pool: int = -1) -> bool:
-        """Whether some candidate with its element in pool has its rhs in up;
-        the pool is a mask, and -1, every bit set, takes every element."""
-        if pool == -1:
-            reach = self.union
-        else:
-            reach = 0
-            for x, r in enumerate(self.reach):
-                if pool >> x & 1:
-                    reach |= r
-        return bool(reach & up) or (self._scan is not None and self._grow(up, pool) is not None)
+            reach[data[0]] |= bit
+            if not union & bit:
+                union |= bit
+                entries.append((data, v))
+        self.reach, self.union, self.entries = reach, union, entries
 
 
 def _mul(left, a: int, b: int) -> int:
@@ -304,8 +302,11 @@ class _TableFacts:
 
     pe[x][y] is x g y over every letter g; left[x][B] is xB and am[A] is
     AM; xMy[x][y], Ma[a], MaM[a] and aaMaa[a] are the fixed products of
-    prop2, thm9 and prop5; witnesses(kind)[a] is a's witness list.  The
-    subset maps AA[A], AuAMA[A] = A u AMA and amb[A, B] = AMB keep each
+    prop2, thm9 and prop5; unions(kind)[a] is the mask of the rhs values
+    of the kind over every candidate at a, read off pe through the kind's
+    set form or, for strong regularity, from witnesses(kind)[a], the scan
+    of its candidates at a.  Each is computed once per table.  The subset
+    maps AA[A], AuAMA[A] = A u AMA and amb[A, B] = AMB keep each
     value asked for, and bmb_closed(wanted) picks the subsets B of a mask
     with BMB inside B.  The subset tables and products are built on first
     use."""
@@ -319,7 +320,7 @@ class _TableFacts:
             for x, row in enumerate(table):
                 for y, z in enumerate(row):
                     self.pe[x][y] |= 1 << z
-        self._witnesses = {}
+        self._witnesses, self._unions = {}, {}
 
     def witnesses(self, kind: str) -> list:
         ws = self._witnesses.get(kind)
@@ -327,6 +328,18 @@ class _TableFacts:
             ws = self._witnesses[kind] = [_Witnesses(self.op, self.n, self.m, a, kind)
                                           for a in range(self.n)]
         return ws
+
+    def unions(self, kind: str) -> list:
+        out = self._unions.get(kind)
+        if out is None:
+            form = _INEQUALITIES[kind][3]
+            if form is None:
+                out = [w.union for w in self.witnesses(kind)]
+            else:
+                t = partial(_times, self.pe)
+                out = [form(t, 1 << a, self.full) for a in range(self.n)]
+            self._unions[kind] = out
+        return out
 
     @_cached
     def left(self) -> list:
@@ -388,14 +401,12 @@ class _OrderFacts:
     order: up[a] is the mask of the v with a <= v, clo[A] is (A],
     bi_ideals lists every bi-ideal B, ascending (nonempty, down-closed and
     BMB inside B), principal[a] is B(a) and product_failure the first B
-    with (BB] != B; least[kind] is the least element without a witness of
-    the kind (n when there is none), kept by _least_without.  up needs no
-    subset table; the rest is built on first use."""
+    with (BB] != B.  up needs no subset table; the rest is built on first
+    use."""
 
     def __init__(self, table: _TableFacts, order: OrderRelation):
         self.table, self.leq = table, order.leq
         self.up = _bit_masks(order.leq)
-        self.least = {}   # classify, the checkers and analyze ask for the same kinds
 
     @_cached
     def clo(self) -> list:
@@ -430,8 +441,8 @@ class _Slice:
     holds: holds(kind) where every element has a witness of the kind,
     bi_ideals the subsets B with BMB inside B and where each is
     down-closed, inclo[S][z] where z lies in (S], and product_property
-    where every bi-ideal B equals (BB].  The witness lists are the table
-    tier's, grown only until every poset asked about is decided."""
+    where every bi-ideal B equals (BB].  A kind holds where each a lies
+    below some value of the table tier's union mask at a."""
 
     def __init__(self, table: _TableFacts, cols, keep: int):
         self.table, self.cols, self.keep, self.n = table, cols, keep, table.n
@@ -439,37 +450,24 @@ class _Slice:
         n = self.n
         self.inclo = _Lazy(lambda s: [_or_of(cols[z * n:z * n + n], s) for z in range(n)])
 
-    def cover(self, w: _Witnesses, a: int, target: int, pool: int = -1) -> int:
-        """The posets in target where some candidate of a's witness list w,
-        with its element in pool, has its rhs above a."""
-        row = self.cols[a * self.n:(a + 1) * self.n]
-        while True:
-            reach = w.union if pool == -1 else _or_of(w.reach, pool)
-            if reach >> a & 1:   # a <= a on every poset
-                return target
-            missing = target & ~_or_of(row, reach)
-            if not missing or w._scan is None:
-                return target & ~missing
-            up = sum(1 << v for v, col in enumerate(row) if col & missing)
-            if w._grow(up, pool) is None:
-                return target & ~missing
+    def above(self, a: int, values: int) -> int:
+        """The posets where a lies below some v in the mask values."""
+        return _or_of(self.cols[a * self.n:(a + 1) * self.n], values)
 
     def holds(self, kind: str) -> int:
         """The posets where every element has a witness of the kind."""
         out = self._holds.get(kind)
         if out is None:
             out = self.keep
-            for a, w in enumerate(self.table.witnesses(kind)):
-                if not out:
-                    break
-                out = self.cover(w, a, out)
+            for a, union in enumerate(self.table.unions(kind)):
+                out &= self.above(a, union)
             self._holds[kind] = out
         return out
 
     def firsts(self, w: _Witnesses, a: int, target: int):
-        """The posets of target split by the first candidate of a's witness
-        list w whose rhs lies above a, as (mask, data) in scan order; every
-        poset of target must be one where holds found a witness for a."""
+        """The posets of target split by the first candidate of a's scan w
+        whose rhs lies above a, as (mask, data) in scan order; every poset
+        of target must be one where holds found a witness for a."""
         row = self.cols[a * self.n:(a + 1) * self.n]
         for data, v in w.entries:
             hit = target & row[v]
@@ -542,7 +540,7 @@ def _or_of(masks, bits: int) -> int:
     return out
 
 
-_last_table = (None, None)   # a table's violated structures reread the witness lists its slice grew
+_last_table = (None, None)   # a table's violated structures reread the masks its slice read
 _last_order = (None, None)   # classify, the checkers and analyze pass one structure object
 
 
@@ -608,7 +606,7 @@ def witness_holds(s: PoGammaSemigroup, w: RegularityWitness) -> bool:
     """Re-evaluate the defining inequality of a witness."""
     if w.kind not in _INEQUALITIES:
         raise ValueError(f"unknown witness kind {w.kind!r}")
-    letters, rhs, side = _INEQUALITIES[w.kind]
+    letters, rhs, side, _ = _INEQUALITIES[w.kind]
     if len(w.data) != 1 + letters:
         raise ValueError(f"{w.kind} witness data needs {1 + letters} entries, got {len(w.data)}")
     op, a = s.tables.op, w.element
@@ -619,8 +617,8 @@ def regularity(s: PoGammaSemigroup, a: int, kind: str):
     """First witness of the given kind for a, or None.
 
     The scan runs the element slot ascending, then each letter slot, and
-    returns the first hit, so results are deterministic; the candidates
-    of each (a, kind) are scanned at most once per table.  data layouts:
+    returns the first hit, so results are deterministic; only analyze and
+    check_thm8 call it, once per element and kind.  data layouts:
 
       regular             (x, g, u)           a <= (a g x) u a
       left-regular        (z, g, u)           a <= (z g a) u a
@@ -631,29 +629,22 @@ def regularity(s: PoGammaSemigroup, a: int, kind: str):
     """
     if kind not in _INEQUALITIES:
         raise ValueError(f"unknown regularity kind {kind!r}, expected one of {REGULARITY_KINDS}")
-    o = _facts(s)
-    data = o.table.witnesses(kind)[a].first(o.up[a])
-    return None if data is None else RegularityWitness(kind, a, data)
+    up = _facts(s).up[a]
+    for data, v in _candidates(s.tables.op, s.n, s.m, a, kind):
+        if up >> v & 1:
+            return RegularityWitness(kind, a, data)
+    return None
 
 
 def _least_without(s: PoGammaSemigroup, *kinds):
-    """Least element lacking a witness of any of the kinds, or None: the
-    least of the kinds' own least such elements, each found once per
-    structure by a scan that stops where it is found."""
+    """Least element lacking a witness of any of the kinds, or None."""
     o = _facts(s)
-    n = least = len(o.up)
-    for kind in kinds:
-        a = o.least.get(kind)
-        if a is None:
-            a = 0
-            for up, w in zip(o.up, o.table.witnesses(kind)):
-                if not (w.union & up or w.exists(up)):
-                    break
-                a += 1
-            o.least[kind] = a
-        if a < least:
-            least = a
-    return None if least == n else least
+    unions = [o.table.unions(kind) for kind in kinds]
+    for a, up in enumerate(o.up):
+        for u in unions:
+            if not u[a] & up:
+                return a
+    return None
 
 
 def is_completely_regular(s: PoGammaSemigroup):
@@ -694,7 +685,7 @@ def _strongly_regular_within(s: PoGammaSemigroup, mask: int) -> bool:
     """Strong regularity relativized to a subsemigroup given as a mask."""
     o = _facts(s)
     ws = o.table.witnesses("strongly-regular")
-    return all(ws[b].exists(o.up[b], mask) for b in _members(mask))
+    return all(_or_of(ws[b].reach, mask) & o.up[b] for b in _members(mask))
 
 
 def is_strongly_regular_subset(s: PoGammaSemigroup, t) -> bool:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .model import PoGammaSemigroup
 from .setcalc import is_completely_regular, is_strongly_regular, product_failure
 from .setcalc import RegularityWitness, _commute, _derived_witness, _facts, _least_without, _members
-from .setcalc import _regular_rhs, _strongly_regular_within, witness_holds
+from .setcalc import _or_of, _regular_rhs, _strongly_regular_within, regularity, witness_holds
 
 # the synthetic report `check --force-violation` appends to exercise exit code 1
 FORCED_VIOLATION_ID = "forced-violation"
@@ -246,10 +246,9 @@ def check_thm8(s: PoGammaSemigroup) -> CheckReport:
     a g y = y g a = y u a = a u y."""
     if is_strongly_regular(s) is not None:
         return _passed("thm8", "vacuous: not strongly regular")
-    o = _facts(s)
     op, leq = s.tables.op, s.order.leq
-    for a, w in enumerate(o.table.witnesses("strongly-regular")):
-        x, g, u = w.first(o.up[a])
+    for a in range(s.n):
+        x, g, u = regularity(s, a, "strongly-regular").data
         y = _derived_witness(op, a, x, g, u)
         # a <= (a g y) u a and y <= (y u a) g y are plain regularity
         a_ok = leq[a][_regular_rhs(op, a, y, g, u)]
@@ -324,7 +323,7 @@ def mask_thm9(sl) -> int:
                 continue
             within = mask
             for b in _members(span):
-                within = sl.cover(ws[b], b, within, span)
+                within &= sl.above(b, _or_of(ws[b].reach, span))
             sub_ok &= ~mask | within
     b1 = sl.holds("strongly-regular")
     b2 = sl.holds("left-regular") & sl.holds("right-regular") & sub_ok

@@ -91,6 +91,9 @@ LATIN1 = (b'{"format": "pogamma.structure/1", "name": "caf\xe9"}', "not valid UT
 DEEP = (b"[" * 200_000, "nested too deeply")
 # past the int() digit limit; also unterminated for Pythons without one
 LONG_NUMBER = (b'{"n": ' + b"9" * 5000, "not valid JSON")
+# json would keep the last n silently
+REPEATED_KEY = (f'{{"format": "{STRUCTURE_FORMAT}", "n": 1, "n": 1, "m": 1, '
+                '"tables": [[[0]]], "order": [[1]]}'.encode(), "duplicate key 'n'")
 AXIOM_BREAKING = (json.dumps({"format": STRUCTURE_FORMAT, "n": 2, "m": 1,
                               "tables": [[[1, 1], [0, 0]]], "order": [[1, 1], [0, 1]]}).encode(),
                   "axiom failure")
@@ -103,6 +106,7 @@ LOADING_COMMANDS = ("validate", "check", "analyze")
     *(pytest.param(c, LATIN1, id=c) for c in LOADING_COMMANDS),
     *(pytest.param(c, DEEP, id=f"{c}-deep") for c in LOADING_COMMANDS),
     *(pytest.param(c, LONG_NUMBER, id=f"{c}-long-number") for c in LOADING_COMMANDS),
+    *(pytest.param(c, REPEATED_KEY, id=f"{c}-repeated-key") for c in LOADING_COMMANDS),
     # validate --format machine writes the validation report of such a file
     *(pytest.param(c, AXIOM_BREAKING, id=f"{c}-axioms") for c in ("check", "analyze")),
 ])

@@ -699,16 +699,16 @@ def test_sweep_generates_the_table_stream_once(monkeypatch):
 
 
 def test_sweep_scans_each_witness_once_and_builds_only_listed_structures(monkeypatch, capsys):
-    # fact tiers and witness lists, counted over a canonical sweep.  Each
-    # table builds one table tier, which makes each (element, kind)
-    # witness list once and scans each of its candidates at most once, and
-    # its slice decides every kept poset at once from them.  Only a
-    # structure the report lists is built, and only one that a claim's
-    # mask marks builds a structure tier: the 12 gap examples of (4, 1)
-    # build none.  The slice, every checker and analyze read
-    # the bitmask tables, so the frozenset definitions (every one goes
+    # fact tiers and witness scans, counted over a canonical sweep.  Each
+    # table builds one table tier, whose slice decides every kept poset at
+    # once from its union masks: the kinds with a set form scan no
+    # candidate, and strong regularity scans its n m^2 candidates once per
+    # element.  Only a structure the report lists is built, and only one
+    # that a claim's mask marks builds a structure tier: the 12 gap
+    # examples of (4, 1) build none.  The slice, every checker and analyze
+    # read the bitmask tables, so the frozenset definitions (every one goes
     # through set_product or downward_closure) are never called.
-    table_tiers, lists, scanned = (Counter() for _ in range(3))
+    table_tiers, scans, scanned = (Counter() for _ in range(3))
     structure_tiers = []   # (order, tier) per structure tier built
     frozenset_calls = Counter()
 
@@ -725,8 +725,12 @@ def test_sweep_scans_each_witness_once_and_builds_only_listed_structures(monkeyp
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name))
 
-    def counted_scan(scan, key):
-        for candidate in scan:
+    candidates = setcalc._candidates
+
+    def counted_candidates(op, n, m, a, kind):
+        key = op, a, kind
+        scans[key] += 1
+        for candidate in candidates(op, n, m, a, kind):
             scanned[key] += 1
             yield candidate
 
@@ -740,31 +744,24 @@ def test_sweep_scans_each_witness_once_and_builds_only_listed_structures(monkeyp
             structure_tiers.append((order, self))
             super().__init__(table, order)
 
-    class CountedWitnesses(setcalc._Witnesses):
-        __slots__ = ()
-
-        def __init__(self, op, n, m, a, kind):
-            key = op, a, kind
-            lists[key] += 1
-            super().__init__(op, n, m, a, kind)
-            self._scan = counted_scan(self._scan, key)
-
     monkeypatch.setattr(setcalc, "_TableFacts", CountedTables)
     monkeypatch.setattr(setcalc, "_OrderFacts", CountedOrders)
-    monkeypatch.setattr(setcalc, "_Witnesses", CountedWitnesses)
+    monkeypatch.setattr(setcalc, "_candidates", counted_candidates)
     spec = EnumSpec(4, 1)
     report = sweep(spec)
     assert report.structures == 4753 and report.violations == []
     # one table tier per table tallied, 126 of the 188 canonical tables,
     # and no structure tier
-    assert sorted(table_tiers) == sorted(t.op for t in _tallied(enumerate_tables(spec)))
+    tallied = _tallied(enumerate_tables(spec))
+    assert sorted(table_tiers) == sorted(t.op for t in tallied)
     assert len(table_tiers) == 126
     assert set(table_tiers.values()) == {1}
     assert report.product_without_cr == 12 and structure_tiers == []
-    assert lists and set(lists.values()) == {1}
-    for (op, a, kind), count in scanned.items():
-        letters = setcalc._INEQUALITIES[kind][0]
-        assert count <= spec.n * len(op) ** letters
+    # one strong scan per tallied table and element, of at most n m^2
+    # candidates, and no scan of any other kind
+    assert sorted(scans) == sorted((t.op, a, "strongly-regular") for t in tallied for a in range(4))
+    assert set(scans.values()) == {1}
+    assert scanned and all(count <= spec.n * spec.m ** 2 for count in scanned.values())
     assert not frozenset_calls
     # a loaded structure brings its own order object, so each call builds
     # its own structure tier and no call reads another call's

@@ -73,6 +73,19 @@ def test_malformed_json_is_a_format_error(tmp_path):
         load(path)
 
 
+@pytest.mark.parametrize("text,key", [
+    ('{"format": "%s", "n": 1, "n": 1, "m": 1, "tables": [[[0]]], "order": [[1]]}', "n"),
+    ('{"format": "%s", "name": {"a": 1, "a": 1}, "n": 1, "m": 1, "tables": [[[0]]], '
+     '"order": [[1]]}', "a"),
+])
+def test_repeated_key_is_a_format_error(text, key, tmp_path):
+    # json keeps a repeated key's last value silently; the loader refuses it
+    path = tmp_path / "repeated.json"
+    path.write_text(text % STRUCTURE_FORMAT, encoding="utf-8")
+    with pytest.raises(FormatError, match=f"duplicate key '{key}'"):
+        load_named(path)
+
+
 @pytest.mark.parametrize("doc,fragment", [
     ([1, 2], "JSON object"),
     ({"format": "something/9"}, "format tag"),

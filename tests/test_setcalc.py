@@ -1,5 +1,7 @@
 """Subset calculus: closures, products, bi-ideals, and witness searches."""
 
+import random
+from functools import partial
 from itertools import product
 
 import pytest
@@ -16,10 +18,11 @@ from conftest import (
     named_structures,
     nonempty_subsets,
     structure_pool,
+    table_pool,
 )
 from pogamma import setcalc
 from pogamma.enumeration import random_structures
-from pogamma.model import GammaTables, PoGammaSemigroup, structure_from_rows
+from pogamma.model import GammaTables, PoGammaSemigroup, structure_from_rows, validate_gamma_tables
 from pogamma.setcalc import (
     REGULARITY_KINDS,
     RegularityWitness,
@@ -279,10 +282,48 @@ def _first_witness_brute(s, a, kind):
 
 
 def test_regularity_agrees_with_exhaustive_first_hit():
-    for s in structure_pool(2, 2):
+    # (2, 3) runs the four letter slots of complete regularity over three letters
+    for s in structure_pool(2, 2) + structure_pool(2, 3):
         for a in range(s.n):
             for kind in REGULARITY_KINDS:
                 assert regularity(s, a, kind) == _first_witness_brute(s, a, kind)
+
+
+def _assert_set_forms_match_the_scan(tables):
+    # each set form, X = {x} by X = {x}, against the scan's reach[x], and
+    # every kind's union mask against the scan's union
+    facts = setcalc._TableFacts(tables)
+    t = partial(setcalc._times, facts.pe)
+    for kind in REGULARITY_KINDS:
+        form = setcalc._INEQUALITIES[kind][3]
+        for a in range(tables.n):
+            scan = setcalc._Witnesses(tables.op, tables.n, tables.m, a, kind)
+            if form is not None:
+                assert [form(t, 1 << a, 1 << x) for x in range(tables.n)] == scan.reach, (kind, a)
+            assert facts.unions(kind)[a] == scan.union, (kind, a)
+
+
+def test_set_forms_match_the_scan_on_every_labeled_table():
+    checked = 0
+    for n, m in ((3, 1), (2, 2), (2, 3)):
+        for tables in table_pool(n, m):
+            _assert_set_forms_match_the_scan(tables)
+            checked += 1
+    assert checked == 113 + 14 + 26   # the labeled (associative) tables
+
+
+def test_set_forms_match_the_scan_without_associativity():
+    # the set forms read the rhs's own parentheses, so they hold on any
+    # fill of the tables, associative or not
+    rng = random.Random(20131)
+    associative = 0
+    for n, m in ((1, 3), (2, 1), (2, 3), (3, 1), (3, 2), (4, 2), (5, 1)) * 30:
+        op = tuple(tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
+                   for _ in range(m))
+        tables = GammaTables(n, m, op)
+        associative += validate_gamma_tables(tables).ok
+        _assert_set_forms_match_the_scan(tables)
+    assert associative < 100
 
 
 # every tuple of kinds the code asks _least_without about
