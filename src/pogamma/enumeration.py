@@ -506,25 +506,23 @@ def random_structures(n: int, m: int, count: int, seed: int):
     return out
 
 
+# classify's regularity flags, each with the kind it reads
+_REGULARITY_FLAGS = {"regular": "regular", "completely_regular": "completely-regular",
+                     "strongly_regular": "strongly-regular"}
+
+
 def classify(s: PoGammaSemigroup) -> dict:
     """Structure-level property flags used in sweep tallies."""
-    return {
-        "regular": setcalc._least_without(s, "regular") is None,
-        "completely_regular": setcalc.is_completely_regular(s) is None,
-        "strongly_regular": setcalc.is_strongly_regular(s) is None,
-        "product_property": setcalc.product_failure(s) is None,
-    }
+    return {**{flag: setcalc._least_without(s, kind) is None
+               for flag, kind in _REGULARITY_FLAGS.items()},
+            "product_property": setcalc.product_failure(s) is None}
 
 
 def _classify_slice(sl) -> dict:
     """classify's flags over a slice of posets, each the mask of the
     posets where it holds."""
-    return {
-        "regular": sl.holds("regular"),
-        "completely_regular": sl.holds("completely-regular"),
-        "strongly_regular": sl.holds("strongly-regular"),
-        "product_property": sl.product_property,
-    }
+    return {**{flag: sl.holds[kind] for flag, kind in _REGULARITY_FLAGS.items()},
+            "product_property": sl.product_property}
 
 
 @dataclass

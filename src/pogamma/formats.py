@@ -306,8 +306,14 @@ def doc_to_report(doc):
         return [_payload_check(r) for r in _expect(p["reports"], list, "reports")]
     if kind == "sweep":
         p = _object(payload, tuple(_SWEEP_FIELDS), "a sweep payload")
-        return SweepReport(**{name: _SWEEP_CODECS[t][1](p[name], name)
-                              for name, t in _SWEEP_FIELDS.items()})
+        r = SweepReport(**{name: _SWEEP_CODECS[t][1](p[name], name)
+                           for name, t in _SWEEP_FIELDS.items()})
+        counts = [getattr(r, name) for name, t in _SWEEP_FIELDS.items() if t is int]
+        if min(r.n, r.m) < 1 or min(counts) < 0:
+            raise FormatError("a sweep needs n and m of at least 1 and no negative tally")
+        if not set(r.theorems) <= set(THEOREM_IDS):
+            raise FormatError(f"unknown theorem among {list(r.theorems)!r}")
+        return r
     raise FormatError(f"unknown report kind {kind!r}")
 
 

@@ -24,13 +24,13 @@ property.  Structures over one table object share its table tier.
 A sweep reads no structure tier for most structures.  The slice,
 _Slice, holds what one table decides over a set of posets at once, each
 fact the mask of the posets where it holds (poset i of
-all_partial_orders(n) as bit i): per kind, the posets where every
-element has a witness, read from the table tier's union masks; per
-BMB-closed B, the posets where B is down-closed; and per subset S, the
-posets where each z lies in (S], which also groups the posets by the
-value of (S].  A sweep builds one table tier and one slice per table,
-and a structure tier only for each structure a claim's mask marks as
-violated.
+all_partial_orders(n) as bit i).  It asks the order one question: per
+subset S, the posets where each z lies in (S], which also groups the
+posets by the value of (S].  Every other fact reads that one: per kind,
+the posets where every element has a witness, from the table tier's
+union masks; and per BMB-closed B, the posets where B is down-closed.
+A sweep builds one table tier and one slice per table, and a structure
+tier only for each structure a claim's mask marks as violated.
 
 The frozenset functions (downward_closure, set_product, is_bi_ideal,
 semiprime_failure, ...) stay as the definitions, and the tests hold the
@@ -302,14 +302,15 @@ class _TableFacts:
 
     pe[x][y] is x g y over every letter g; left[x][B] is xB and am[A] is
     AM; xMy[x][y], Ma[a], MaM[a] and aaMaa[a] are the fixed products of
-    prop2, thm9 and prop5; unions(kind)[a] is the mask of the rhs values
+    prop2, thm9 and prop5; unions[kind][a] is the mask of the rhs values
     of the kind over every candidate at a, read off pe through the kind's
-    set form or, for strong regularity, from witnesses(kind)[a], the scan
-    of its candidates at a.  Each is computed once per table.  The subset
-    maps AA[A], AuAMA[A] = A u AMA and amb[A, B] = AMB keep each
-    value asked for, and bmb_closed(wanted) picks the subsets B of a mask
-    with BMB inside B.  The subset tables and products are built on first
-    use."""
+    set form or, for strong regularity, from witnesses[kind][a], the scan
+    of its candidates at a.  Each is computed once per table.  The maps
+    unions, witnesses, AA[A], AuAMA[A] = A u AMA and amb[A, B] = AMB keep
+    each value asked for, and bmb_closed(wanted) picks the subsets B of a
+    mask with BMB inside B.  The subset tables, products and map entries
+    are built on first use; the maps hold locals, never self, so no cycle
+    keeps a table tier alive."""
 
     def __init__(self, tables: GammaTables):
         n, op = tables.n, tables.op
@@ -320,26 +321,22 @@ class _TableFacts:
             for x, row in enumerate(table):
                 for y, z in enumerate(row):
                     self.pe[x][y] |= 1 << z
-        self._witnesses, self._unions = {}, {}
 
-    def witnesses(self, kind: str) -> list:
-        ws = self._witnesses.get(kind)
-        if ws is None:
-            ws = self._witnesses[kind] = [_Witnesses(self.op, self.n, self.m, a, kind)
-                                          for a in range(self.n)]
-        return ws
+    @_cached
+    def witnesses(self) -> dict:
+        op, n, m = self.op, self.n, self.m
+        return _Lazy(lambda kind: [_Witnesses(op, n, m, a, kind) for a in range(n)])
 
-    def unions(self, kind: str) -> list:
-        out = self._unions.get(kind)
-        if out is None:
+    @_cached
+    def unions(self) -> dict:
+        t, full, n, witnesses = partial(_times, self.pe), self.full, self.n, self.witnesses
+
+        def union_masks(kind):
             form = _INEQUALITIES[kind][3]
             if form is None:
-                out = [w.union for w in self.witnesses(kind)]
-            else:
-                t = partial(_times, self.pe)
-                out = [form(t, 1 << a, self.full) for a in range(self.n)]
-            self._unions[kind] = out
-        return out
+                return [w.union for w in witnesses[kind]]
+            return [form(t, 1 << a, full) for a in range(n)]
+        return _Lazy(union_masks)
 
     @_cached
     def left(self) -> list:
@@ -368,7 +365,6 @@ class _TableFacts:
         left, am = self.left, self.am
         return [_mul(left, _mul(left, am[self.pe[a][a]], 1 << a), 1 << a) for a in range(self.n)]
 
-    # the maps hold the rows, not self, so no cycle keeps a table tier alive;
     # about two reads in three hit over a (4, 1) sweep's slices
     @_cached
     def AA(self) -> dict:
@@ -435,42 +431,36 @@ class _OrderFacts:
 class _Slice:
     """The slice: what one table decides over a set of posets at once.
 
-    Poset i of all_partial_orders(n) is bit i of a mask; cols[x*n + y] is
-    the mask of the posets with x <= y, and keep the mask of the posets
-    asked about.  Every fact is the mask of the posets in keep where it
-    holds: holds(kind) where every element has a witness of the kind,
-    bi_ideals the subsets B with BMB inside B and where each is
-    down-closed, inclo[S][z] where z lies in (S], and product_property
-    where every bi-ideal B equals (BB].  A kind holds where each a lies
-    below some value of the table tier's union mask at a."""
+    Poset i of all_partial_orders(n) is bit i of a mask, and keep is the
+    mask of the posets asked about.  The one order fact is inclo[S][z],
+    the posets where z lies in (S], so inclo[1 << v][z] is where z <= v;
+    it is filled from cols[x*n + y], the mask of the posets with x <= y,
+    which nothing else reads.  Every other fact reads inclo and is the
+    mask of the posets in keep where it holds: holds[kind] where every
+    element a has a witness of the kind, that is lies in the closure of
+    the table tier's union mask at a; bi_ideals the subsets B with BMB
+    inside B and where each is down-closed; and product_property where
+    every bi-ideal B equals (BB].  The maps hold locals, never self, as
+    the table tier's do."""
 
     def __init__(self, table: _TableFacts, cols, keep: int):
-        self.table, self.cols, self.keep, self.n = table, cols, keep, table.n
-        self._holds = {}
-        n = self.n
-        self.inclo = _Lazy(lambda s: [_or_of(cols[z * n:z * n + n], s) for z in range(n)])
+        self.table, self.keep, self.n = table, keep, table.n
+        n, unions = self.n, table.unions
+        inclo = self.inclo = _Lazy(lambda s: [_or_of(cols[z * n:z * n + n], s) for z in range(n)])
 
-    def above(self, a: int, values: int) -> int:
-        """The posets where a lies below some v in the mask values."""
-        return _or_of(self.cols[a * self.n:(a + 1) * self.n], values)
-
-    def holds(self, kind: str) -> int:
-        """The posets where every element has a witness of the kind."""
-        out = self._holds.get(kind)
-        if out is None:
-            out = self.keep
-            for a, union in enumerate(self.table.unions(kind)):
-                out &= self.above(a, union)
-            self._holds[kind] = out
-        return out
+        def witnessed(kind):
+            out = keep
+            for a, union in enumerate(unions[kind]):
+                out &= inclo[union][a]
+            return out
+        self.holds = _Lazy(witnessed)
 
     def firsts(self, w: _Witnesses, a: int, target: int):
         """The posets of target split by the first candidate of a's scan w
         whose rhs lies above a, as (mask, data) in scan order; every poset
         of target must be one where holds found a witness for a."""
-        row = self.cols[a * self.n:(a + 1) * self.n]
         for data, v in w.entries:
-            hit = target & row[v]
+            hit = target & self.inclo[1 << v][a]
             if hit:
                 yield hit, data
                 target &= ~hit
@@ -481,14 +471,9 @@ class _Slice:
     def bi_ideals(self) -> list:
         """(B, the posets where B is down-closed) for each nonempty B with BMB
         inside B and down-closed somewhere: nothing outside B lies below it."""
-        n, cols, out = self.n, self.cols, []
-        for b in _members(self.table.bmb_closed((1 << (1 << n)) - 2)):
-            below = 0
-            for x in _members(b):
-                for y in range(n):
-                    if not b >> y & 1:
-                        below |= cols[y * n + x]
-            down = self.keep & ~below
+        full, out = self.table.full, []
+        for b in _members(self.table.bmb_closed((1 << (1 << self.n)) - 2)):
+            down = self.keep & ~_or_of(self.inclo[b], full & ~b)
             if down:
                 out.append((b, down))
         return out
@@ -639,7 +624,7 @@ def regularity(s: PoGammaSemigroup, a: int, kind: str):
 def _least_without(s: PoGammaSemigroup, *kinds):
     """Least element lacking a witness of any of the kinds, or None."""
     o = _facts(s)
-    unions = [o.table.unions(kind) for kind in kinds]
+    unions = [o.table.unions[kind] for kind in kinds]
     for a, up in enumerate(o.up):
         for u in unions:
             if not u[a] & up:
@@ -684,7 +669,7 @@ def compose_cr_witness(s: PoGammaSemigroup, a: int, reg: RegularityWitness,
 def _strongly_regular_within(s: PoGammaSemigroup, mask: int) -> bool:
     """Strong regularity relativized to a subsemigroup given as a mask."""
     o = _facts(s)
-    ws = o.table.witnesses("strongly-regular")
+    ws = o.table.witnesses["strongly-regular"]
     return all(_or_of(ws[b].reach, mask) & o.up[b] for b in _members(mask))
 
 

@@ -102,8 +102,8 @@ def check_prop3(s: PoGammaSemigroup) -> CheckReport:
 
 def mask_prop3(sl) -> int:
     """check_prop3's violations over a slice."""
-    conj = sl.holds("regular") & sl.holds("left-regular") & sl.holds("right-regular")
-    return conj ^ sl.holds("completely-regular")
+    conj = sl.holds["regular"] & sl.holds["left-regular"] & sl.holds["right-regular"]
+    return conj ^ sl.holds["completely-regular"]
 
 
 def check_prop4(s: PoGammaSemigroup) -> CheckReport:
@@ -135,7 +135,7 @@ def mask_prop4(sl) -> int:
     for b, down in sl.bi_ideals:
         if sl.table.semiprime_failure(b) is not None:
             all_semiprime &= ~down
-    return sl.holds("completely-regular") ^ all_semiprime
+    return sl.holds["completely-regular"] ^ all_semiprime
 
 
 def check_prop5(s: PoGammaSemigroup) -> CheckReport:
@@ -175,7 +175,7 @@ def mask_prop5(sl) -> int:
         same = sl.same_closure(b_a, b_aa)
         pair &= same
         chain &= same & sl.same_closure(b_aa, b_big)
-    cr = sl.holds("completely-regular")
+    cr = sl.holds["completely-regular"]
     return (cr ^ chain) | (cr ^ pair)
 
 
@@ -192,7 +192,7 @@ def check_prop6_forward(s: PoGammaSemigroup) -> CheckReport:
 
 def mask_prop6_forward(sl) -> int:
     """check_prop6_forward's violations over a slice."""
-    return sl.holds("completely-regular") & ~sl.product_property
+    return sl.holds["completely-regular"] & ~sl.product_property
 
 
 def check_prop6_converse(s: PoGammaSemigroup) -> CheckReport:
@@ -209,7 +209,7 @@ def check_prop6_converse(s: PoGammaSemigroup) -> CheckReport:
 
 def mask_prop6_converse(sl) -> int:
     """check_prop6_converse's violations over a slice."""
-    return sl.product_property & ~sl.holds("regular")
+    return sl.product_property & ~sl.holds["regular"]
 
 
 def check_remark7(s: PoGammaSemigroup) -> CheckReport:
@@ -225,7 +225,7 @@ def check_remark7(s: PoGammaSemigroup) -> CheckReport:
 
 def mask_remark7(sl) -> int:
     """check_remark7's violations over a slice."""
-    return sl.holds("strongly-regular") & ~sl.holds("completely-regular")
+    return sl.holds["strongly-regular"] & ~sl.holds["completely-regular"]
 
 
 def thm8_witness(s: PoGammaSemigroup, a: int, x: int, g: int, u: int) -> tuple[int, int, int]:
@@ -265,14 +265,14 @@ def check_thm8(s: PoGammaSemigroup) -> CheckReport:
 def mask_thm8(sl) -> int:
     """check_thm8's violations over a slice: per element, the strongly
     regular posets split by the witness check_thm8 derives from."""
-    op, cols, n = sl.table.op, sl.cols, sl.n
-    strong = sl.holds("strongly-regular")
+    op, inclo = sl.table.op, sl.inclo
+    strong = sl.holds["strongly-regular"]
     bad = 0
-    for a, w in enumerate(sl.table.witnesses("strongly-regular")):
+    for a, w in enumerate(sl.table.witnesses["strongly-regular"]):
         for hit, (x, g, u) in sl.firsts(w, a, strong):
             y = _derived_witness(op, a, x, g, u)
-            ok = (cols[a * n + _regular_rhs(op, a, y, g, u)]
-                  & cols[y * n + _regular_rhs(op, y, a, u, g)])
+            ok = (inclo[1 << _regular_rhs(op, a, y, g, u)][a]
+                  & inclo[1 << _regular_rhs(op, y, a, u, g)][y])
             bad |= hit & ~ok if _commute(op, a, y, g, u) else hit
     return bad
 
@@ -314,7 +314,7 @@ def mask_thm9(sl) -> int:
     """check_thm9's violations over a slice, the posets grouped by the
     value of (M a M]."""
     t = sl.table
-    ws = t.witnesses("strongly-regular")
+    ws = t.witnesses["strongly-regular"]
     not_sub, sub_ok = 0, sl.keep
     for a in range(sl.n):
         for mask, span in sl.closures(t.MaM[a]):
@@ -323,10 +323,10 @@ def mask_thm9(sl) -> int:
                 continue
             within = mask
             for b in _members(span):
-                within &= sl.above(b, _or_of(ws[b].reach, span))
+                within &= sl.inclo[_or_of(ws[b].reach, span)][b]
             sub_ok &= ~mask | within
-    b1 = sl.holds("strongly-regular")
-    b2 = sl.holds("left-regular") & sl.holds("right-regular") & sub_ok
+    b1 = sl.holds["strongly-regular"]
+    b2 = sl.holds["left-regular"] & sl.holds["right-regular"] & sub_ok
     sided = sl.keep
     for a in range(sl.n):
         sided &= sl.inclo[t.Ma[a]][a] & sl.inclo[t.am[1 << a]][a]

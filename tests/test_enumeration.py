@@ -1,9 +1,11 @@
 """Table and order generation, canonicalization, and sweep plumbing."""
 
+import gc
 import hashlib
 import multiprocessing
 import random
 import re
+import weakref
 from collections import Counter
 from functools import lru_cache
 from itertools import permutations, product, starmap
@@ -504,7 +506,7 @@ def _plant_violations(monkeypatch):
         return theorems._violated("thm8", {"a": a}, "planted")
 
     def planted_mask(sl):
-        return masks["thm8"](sl) | sl.keep & ~sl.holds("completely-regular")
+        return masks["thm8"](sl) | sl.keep & ~sl.holds["completely-regular"]
 
     monkeypatch.setitem(theorems.CHECKERS, "thm8", planted)
     monkeypatch.setitem(theorems.MASKS, "thm8", planted_mask)
@@ -932,7 +934,7 @@ def _assert_slice_matches_each_structure(t, keep):
     sl = setcalc._Slice(setcalc._TableFacts(t), enumeration._poset_columns(n), keep)
     flags = enumeration._classify_slice(sl)
     masks = {tid: mask(sl) for tid, mask in theorems.MASKS.items()}
-    holds = {kind: sl.holds(kind) for kind in setcalc.REGULARITY_KINDS}
+    holds = {kind: sl.holds[kind] for kind in setcalc.REGULARITY_KINDS}
     closures = {s: sl.closures(s) for s in sl.inclo}
     for i in setcalc._members(keep):
         s = PoGammaSemigroup(tables=t, order=posets[i])
@@ -990,6 +992,29 @@ def test_claim_masks_match_the_checkers_where_claims_fail():
         for tid, mask in _assert_slice_matches_each_structure(t, keep).items():
             failed[tid] += mask.bit_count()
     assert set(failed) == set(theorems.THEOREM_IDS) and all(failed.values())
+
+
+def test_table_tier_and_slice_are_freed_without_the_collector():
+    # their maps hold locals, never their owner, so reference counting
+    # alone frees a table tier and its slice once a sweep moves on; the
+    # min chain is strongly regular, so thm8 splits its posets too
+    t = make_min_chain().tables
+    gc.disable()
+    try:
+        table = setcalc._TableFacts(t)
+        sl = setcalc._Slice(table, enumeration._poset_columns(t.n), enumeration._compatible_orders(t))
+        enumeration._classify_slice(sl)
+        assert sl.holds["strongly-regular"]
+        for mask in theorems.MASKS.values():
+            mask(sl)
+        for obj in table, sl:
+            lazy = {k for k, v in vars(type(obj)).items() if isinstance(v, setcalc._cached)}
+            assert lazy <= vars(obj).keys()
+        refs = weakref.ref(table), weakref.ref(sl)
+        del table, sl, obj
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_sweep_runs_a_short_table_stream_in_process(monkeypatch):

@@ -214,6 +214,10 @@ def test_report_doc_rejections():
         report_to_doc(object())
 
 
+# a well-formed sweep payload, each row below breaking one field of it
+_SWEEP_PAYLOAD = report_to_doc(SweepReport(2, 1, True, True, ("prop2",)))["payload"]
+
+
 @pytest.mark.parametrize("kind,payload", [
     ("check", {}),
     ("sweep", []),
@@ -234,6 +238,9 @@ def test_report_doc_rejections():
     ("validation", {"ok": False, "failures": [["compatibility", [0, 1, 0, 0, "up"]]]}),
     ("validation", {"ok": False, "failures": [["compatibility", [0, 1, 0, "left", "left"]]]}),
     ("validation", {"ok": False, "failures": [["compatibility", [0, 1, 0, 0]]]}),
+    ("sweep", {**_SWEEP_PAYLOAD, "theorems": ["nope", "prop2"]}),
+    ("sweep", {**_SWEEP_PAYLOAD, "n": 0}),
+    ("sweep", {**_SWEEP_PAYLOAD, "structures": -5}),
 ])
 def test_malformed_report_payloads_are_format_errors(kind, payload):
     with pytest.raises(FormatError):

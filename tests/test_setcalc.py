@@ -300,7 +300,7 @@ def _assert_set_forms_match_the_scan(tables):
             scan = setcalc._Witnesses(tables.op, tables.n, tables.m, a, kind)
             if form is not None:
                 assert [form(t, 1 << a, 1 << x) for x in range(tables.n)] == scan.reach, (kind, a)
-            assert facts.unions(kind)[a] == scan.union, (kind, a)
+            assert facts.unions[kind][a] == scan.union, (kind, a)
 
 
 def test_set_forms_match_the_scan_on_every_labeled_table():
