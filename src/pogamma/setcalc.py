@@ -10,9 +10,9 @@ classify, the checkers and the CLI's analyze read every fact from
 bitmask tables (element i is bit i, and subset B is bit B of a mask over
 subsets) kept in two tiers.  The table tier, _TableFacts, holds what the
 products alone decide: x g y over every letter, the products xB and AM,
-the fixed products the checkers read, the subset maps AA, A u AMA and
-AMB, and for each element and regularity kind the union mask of the
-values its rhs takes.  Each regularity notion is an inequality a <= rhs,
+the fixed products the checkers read, the subset maps AA and A u AMA,
+and for each element and regularity kind the union mask of the values
+its rhs takes.  Each regularity notion is an inequality a <= rhs,
 so a has a witness exactly where that mask meets the up-set of a.  Four
 kinds have an rhs that is a product of sets, and their masks are
 computed once per table from x g y; strong regularity adds a side
@@ -25,10 +25,11 @@ A sweep reads no structure tier for most structures.  The slice,
 _Slice, holds what one table decides over a set of posets at once, each
 fact the mask of the posets where it holds (poset i of
 all_partial_orders(n) as bit i).  It asks the order one question: per
-subset S, the posets where each z lies in (S], which also groups the
-posets by the value of (S].  Every other fact reads that one: per kind,
-the posets where every element has a witness, from the table tier's
-union masks; and per BMB-closed B, the posets where B is down-closed.
+subset S, the posets where each z lies in (S].  Every other fact reads
+that one: per kind, the posets where every element has a witness, from
+the table tier's union masks; per BMB-closed B, the posets where B is
+down-closed; and each claim's mask, element by element of the sets it
+compares.
 A sweep builds one table tier and one slice per table, and a structure
 tier only for each structure a claim's mask marks as violated.
 
@@ -306,9 +307,9 @@ class _TableFacts:
     of the kind over every candidate at a, read off pe through the kind's
     set form or, for strong regularity, from witnesses[kind][a], the scan
     of its candidates at a.  Each is computed once per table.  The maps
-    unions, witnesses, AA[A], AuAMA[A] = A u AMA and amb[A, B] = AMB keep
-    each value asked for, and bmb_closed(wanted) picks the subsets B of a
-    mask with BMB inside B.  The subset tables, products and map entries
+    unions, witnesses, AA[A] and AuAMA[A] = A u AMA keep each value asked
+    for, and bmb_closed(wanted) picks the subsets B of a mask with BMB
+    inside B.  The subset tables, products and map entries
     are built on first use; the maps hold locals, never self, so no cycle
     keeps a table tier alive."""
 
@@ -376,11 +377,6 @@ class _TableFacts:
         left, am = self.left, self.am
         return _Lazy(lambda a: a | _mul(left, am[a], a))
 
-    @_cached
-    def amb(self) -> dict:
-        left, am = self.left, self.am
-        return _Lazy(lambda ab: _mul(left, am[ab[0]], ab[1]))
-
     def bmb_closed(self, wanted: int) -> int:
         """The subsets B in the mask wanted (subset B as bit B) with BMB inside B."""
         left, am = self.left, self.am
@@ -440,8 +436,10 @@ class _Slice:
     element a has a witness of the kind, that is lies in the closure of
     the table tier's union mask at a; bi_ideals the subsets B with BMB
     inside B and where each is down-closed; and product_property where
-    every bi-ideal B equals (BB].  The maps hold locals, never self, as
-    the table tier's do."""
+    every bi-ideal B equals (BB].  inclo's columns and the complement of
+    a slice mask cover posets outside keep, so a claim's mask built from
+    them ends with & keep.  The maps hold locals, never self, as the
+    table tier's do."""
 
     def __init__(self, table: _TableFacts, cols, keep: int):
         self.table, self.keep, self.n = table, keep, table.n
@@ -501,19 +499,6 @@ class _Slice:
             if t >> z & 1:
                 out &= col
         return out
-
-    def closures(self, s: int) -> list:
-        """The posets grouped by the value of (S], as (mask, (S])."""
-        groups = [(self.keep, 0)]
-        for z, col in enumerate(self.inclo[s]):
-            split = []
-            for mask, value in groups:
-                if mask & col:
-                    split.append((mask & col, value | 1 << z))
-                if mask & ~col:
-                    split.append((mask & ~col, value))
-            groups = split
-        return groups
 
 
 def _or_of(masks, bits: int) -> int:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .model import PoGammaSemigroup
 from .setcalc import is_completely_regular, is_strongly_regular, product_failure
 from .setcalc import RegularityWitness, _commute, _derived_witness, _facts, _least_without, _members
-from .setcalc import _or_of, _regular_rhs, _strongly_regular_within, regularity, witness_holds
+from .setcalc import _mul, _regular_rhs, _strongly_regular_within, regularity, witness_holds
 
 # the synthetic report `check --force-violation` appends to exercise exit code 1
 FORCED_VIOLATION_ID = "forced-violation"
@@ -55,10 +55,10 @@ def _violated(tid: str, witness: dict, detail: str) -> CheckReport:
 def check_prop2(s: PoGammaSemigroup) -> CheckReport:
     """B(x) M B(y) <= (x M y] for all elements x, y."""
     o = _facts(s)
-    amb, clo, principal = o.table.amb, o.clo, o.principal
+    left, am, clo, principal = o.table.left, o.table.am, o.clo, o.principal
     for x, (bx, xM) in enumerate(zip(principal, o.table.xMy)):
         for y, (by, xMy) in enumerate(zip(principal, xM)):
-            extra = amb[bx, by] & ~clo[xMy]
+            extra = _mul(left, am[bx], by) & ~clo[xMy]
             if extra:
                 e = _members(extra)[0]
                 return _violated("prop2", {"x": x, "y": y, "element": e},
@@ -67,21 +67,19 @@ def check_prop2(s: PoGammaSemigroup) -> CheckReport:
 
 
 def mask_prop2(sl) -> int:
-    """check_prop2's violations over a slice, the posets grouped by the
-    values of B(x) and B(y)."""
-    t = sl.table
-    amb, gen = t.amb, t.AuAMA
-    principal = [sl.closures(gen[1 << x]) for x in range(sl.n)]
+    """check_prop2's violations over a slice, element pair by element pair:
+    B(x)MB(y) is the union of uMv over the u in B(x) and the v in B(y)."""
+    t, inclo = sl.table, sl.inclo
+    principal = [inclo[t.AuAMA[1 << x]] for x in range(sl.n)]
     bad = 0
-    for bxs, xM in zip(principal, t.xMy):
-        for bys, xMy in zip(principal, xM):
-            for mx, bx in bxs:
-                for my, by in bys:
-                    both = mx & my
-                    # xMy lies inside (xMy] on every poset
-                    if both and amb[bx, by] & ~xMy:
-                        bad |= both & ~sl.inside(amb[bx, by], xMy)
-    return bad
+    for bx, xM in zip(principal, t.xMy):
+        for by, xMy in zip(principal, xM):
+            for u, uM in enumerate(t.xMy):
+                for v, uMv in enumerate(uM):
+                    # a uMv inside xMy lies inside (xMy] on every poset
+                    if uMv & ~xMy:
+                        bad |= bx[u] & by[v] & ~sl.inside(uMv, xMy)
+    return bad & sl.keep
 
 
 def check_prop3(s: PoGammaSemigroup) -> CheckReport:
@@ -311,27 +309,32 @@ def check_thm9(s: PoGammaSemigroup) -> CheckReport:
 
 
 def mask_thm9(sl) -> int:
-    """check_thm9's violations over a slice, the posets grouped by the
-    value of (M a M]."""
-    t = sl.table
+    """check_thm9's violations over a slice, element by element of each
+    (M a M]: it is no subsemigroup where uv escapes it for some members u
+    and v, and strongly regular within itself where each member b lies
+    below a value of its strong-regularity scan at some member x."""
+    t, inclo = sl.table, sl.inclo
     ws = t.witnesses["strongly-regular"]
     not_sub, sub_ok = 0, sl.keep
-    for a in range(sl.n):
-        for mask, span in sl.closures(t.MaM[a]):
-            if t.AA[span] & ~span:
-                not_sub |= mask
-                continue
-            within = mask
-            for b in _members(span):
-                within &= sl.inclo[_or_of(ws[b].reach, span)][b]
-            sub_ok &= ~mask | within
+    for mam in t.MaM:
+        member = inclo[mam]
+        for u, row in enumerate(t.pe):
+            for v, uv in enumerate(row):
+                # a uv inside M a M lies inside (M a M] on every poset
+                if uv & ~mam:
+                    not_sub |= member[u] & member[v] & ~sl.inside(uv, mam)
+        for b, w in enumerate(ws):
+            within = 0
+            for x, reach in enumerate(w.reach):
+                within |= member[x] & inclo[reach][b]
+            sub_ok &= ~member[b] | within
     b1 = sl.holds["strongly-regular"]
     b2 = sl.holds["left-regular"] & sl.holds["right-regular"] & sub_ok
     sided = sl.keep
     for a in range(sl.n):
-        sided &= sl.inclo[t.Ma[a]][a] & sl.inclo[t.am[1 << a]][a]
+        sided &= inclo[t.Ma[a]][a] & inclo[t.am[1 << a]][a]
     b3 = sided & sub_ok
-    return not_sub | (b1 ^ b2) | (b1 ^ b3)
+    return (not_sub | (b1 ^ b2) | (b1 ^ b3)) & sl.keep
 
 
 CHECKERS = {

@@ -923,19 +923,24 @@ def _mask(members):
     return sum(1 << x for x in members)
 
 
+def _closure_at(cols, i):
+    # (S] on poset i, read off the slice's columns inclo[S]
+    return _mask(z for z, col in enumerate(cols) if _bits(col, i))
+
+
 def _assert_slice_matches_each_structure(t, keep):
     # the sliced flags against classify and each claim's violation mask
     # against its checker, poset by poset, and each side the masks read:
     # the witness kinds, the bi-ideals, the product property and every
-    # closure (S], which gives B(a), B(aa), B(aaMaa), (M a M], (M a],
-    # (a M] and (x M y]; returns the violation masks
+    # filled column of inclo, which gives B(a), B(aa), B(aaMaa), (M a M],
+    # (M a], (a M] and (x M y]; returns the violation masks
     n = t.n
     posets = all_partial_orders(n)
     sl = setcalc._Slice(setcalc._TableFacts(t), enumeration._poset_columns(n), keep)
     flags = enumeration._classify_slice(sl)
     masks = {tid: mask(sl) for tid, mask in theorems.MASKS.items()}
     holds = {kind: sl.holds[kind] for kind in setcalc.REGULARITY_KINDS}
-    closures = {s: sl.closures(s) for s in sl.inclo}
+    filled = dict(sl.inclo)
     for i in setcalc._members(keep):
         s = PoGammaSemigroup(tables=t, order=posets[i])
         assert {key: _bits(flag, i) for key, flag in flags.items()} == classify(s)
@@ -943,8 +948,8 @@ def _assert_slice_matches_each_structure(t, keep):
             {r.theorem_id: r.status == "violation" for r in theorems.run_all(s)}
         for kind, mask in holds.items():
             assert _bits(mask, i) == (setcalc._least_without(s, kind) is None)
-        # the bi-ideals and the closures against the structure's own fact
-        # tiers, which the setcalc tests hold against is_bi_ideal and
+        # the bi-ideals and the closures (S] against the structure's own
+        # fact tiers, which the setcalc tests hold against is_bi_ideal and
         # downward_closure; the product property and B(a) against the
         # frozenset definitions themselves
         bi_ideals = setcalc.all_bi_ideals(s)
@@ -952,10 +957,9 @@ def _assert_slice_matches_each_structure(t, keep):
         assert _bits(sl.product_property, i) == all(
             setcalc.downward_closure(s, setcalc.set_product(s, b, b)) == b for b in bi_ideals)
         clo = setcalc._facts(s).clo
-        for value, groups in closures.items():
-            assert [v for mask, v in groups if _bits(mask, i)] == [clo[value]]
-        assert [next(v for mask, v in closures[sl.table.AuAMA[1 << a]] if _bits(mask, i))
-                for a in range(n)] == \
+        for value, cols in filled.items():
+            assert _closure_at(cols, i) == clo[value]
+        assert [_closure_at(sl.inclo[sl.table.AuAMA[1 << a]], i) for a in range(n)] == \
             [_mask(setcalc.bi_ideal_generated_formula(s, {a})) for a in range(n)]
     # nothing is decided for a poset outside keep
     assert all(not mask & ~keep for mask in (*flags.values(), *masks.values()))
@@ -980,18 +984,37 @@ def test_claim_masks_match_the_checkers_where_claims_fail():
     # no structure a sweep meets violates a claim, so the masks are also
     # held against the checkers on every raw fill at (2, 1) and (2, 2) and
     # a seeded sample at (3, 1), none of them need be associative, with
-    # every poset; there every claim fails somewhere
+    # every poset; there every claim fails somewhere, and thm9's mask
+    # meets an (M a M] that is no subsemigroup and one that is but is
+    # not strongly regular within itself, by the frozenset definitions,
+    # and on some posets of the last fill one whose members each have a
+    # strong-regularity witness in M, but not all of them within it
     rng = random.Random(5)
     fills = [*product(range(2), repeat=4), *product(range(2), repeat=8),
-             *(tuple(rng.randrange(3) for _ in range(9)) for _ in range(300))]
-    failed = Counter()
+             *(tuple(rng.randrange(3) for _ in range(9)) for _ in range(300)),
+             (2, 1, 0, 2, 1, 1, 0, 1, 1)]
+    failed, spans = Counter(), Counter()
     for cells in fills:
         n = 2 if len(cells) < 9 else 3
         t = enumeration._tables_from_cells(cells, n, len(cells) // (n * n))
-        keep = (1 << len(all_partial_orders(n))) - 1
-        for tid, mask in _assert_slice_matches_each_structure(t, keep).items():
+        posets = all_partial_orders(n)
+        for tid, mask in _assert_slice_matches_each_structure(t, (1 << len(posets)) - 1).items():
             failed[tid] += mask.bit_count()
+        for order in posets:
+            s = PoGammaSemigroup(tables=t, order=order)
+            u = s.universe
+            for a in range(n):
+                span = setcalc.downward_closure(s, setcalc.word_product(s, [u, {a}, u]))
+                if not setcalc.is_subsemigroup(s, span):
+                    spans["not a subsemigroup"] += 1
+                elif not setcalc.is_strongly_regular_subset(s, span):
+                    spans["not strongly regular within"] += 1
+                    if all(setcalc.regularity(s, b, "strongly-regular") for b in span):
+                        spans["witnessed only outside"] += 1
     assert set(failed) == set(theorems.THEOREM_IDS) and all(failed.values())
+    assert set(spans) == {"not a subsemigroup", "not strongly regular within",
+                          "witnessed only outside"}
+
 
 
 def test_table_tier_and_slice_are_freed_without_the_collector():

@@ -163,7 +163,8 @@ def test_mask_tables_equal_the_frozenset_definitions():
             assert setcalc._mul(t.left, t.am[a], a) == _mask(word_product(s, [sa, s.universe, sa]))
             for b, sb in enumerate(subsets):
                 assert setcalc._mul(t.left, a, b) == _mask(set_product(s, sa, sb))
-                assert t.amb[a, b] == _mask(word_product(s, [sa, s.universe, sb]))
+                assert setcalc._mul(t.left, t.am[a], b) == \
+                    _mask(word_product(s, [sa, s.universe, sb]))
         u = s.universe
         for x in range(s.n):
             assert t.pe[x] == [_mask(set_product(s, {x}, {y})) for y in range(s.n)]
