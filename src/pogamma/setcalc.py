@@ -10,13 +10,14 @@ classify, the checkers and the CLI's analyze read every fact from
 bitmask tables (element i is bit i, and subset B is bit B of a mask over
 subsets) kept in two tiers.  The table tier, _TableFacts, holds what the
 products alone decide: x g y over every letter, the products xB and AM,
-the fixed products the checkers read, the subset maps AA and A u AMA,
-and for each element and regularity kind the union mask of the values
-its rhs takes.  Each regularity notion is an inequality a <= rhs,
-so a has a witness exactly where that mask meets the up-set of a.  Four
-kinds have an rhs that is a product of sets, and their masks are
-computed once per table from x g y; strong regularity adds a side
-condition, so its candidates are scanned once per table and element.
+the fixed products the checkers read, the subset map A u AMA, and for
+each element and regularity kind the union mask of the values its rhs
+takes.  Each regularity notion is an inequality a <= rhs, so a has a
+witness exactly where that mask meets the up-set of a.  Four kinds have
+an rhs that is a product of sets, and their masks are computed once per
+table from x g y; strong regularity adds a side condition, under which
+its rhs depends on one letter, so its masks come from the letters of
+each element grouped by one product, in n m steps per element.
 The structure tier, _OrderFacts, holds what the order decides, alone or
 with the products: up-sets, closures, bi-ideals, B(a) and the product
 property.  Structures over one table object share its table tier.
@@ -44,8 +45,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import product
+from operator import or_
 
 from .model import GammaTables, OrderRelation, PoGammaSemigroup
 
@@ -267,26 +269,34 @@ def _candidates(op, n: int, m: int, a: int, kind: str):
             yield data, rhs(op, a, *data)
 
 
-class _Witnesses:
-    """The scan of one regularity kind's candidates at one element a, in
-    the order of regularity(): reach[x] is the mask of the rhs values over
-    the candidates with element x and union that over every candidate,
-    and entries keeps (data, rhs) for each candidate whose rhs no earlier
-    one gave, so the first candidate whose rhs lies in a mask is always an
-    entry.  Strong regularity reads it, n m^2 candidates per element; for
-    the kinds with a set form it is the form's oracle."""
+def _strong_at(op, n: int, a: int):
+    """(reach, entries) of strong regularity at a, in n m steps.
 
-    __slots__ = ("reach", "union", "entries")
-
-    def __init__(self, op, n: int, m: int, a: int, kind: str):
-        reach, union, entries = [0] * n, 0, []
-        for data, v in _candidates(op, n, m, a, kind):
-            bit = 1 << v
-            reach[data[0]] |= bit
-            if not union & bit:
-                union |= bit
-                entries.append((data, v))
-        self.reach, self.union, self.entries = reach, union, entries
+    (x, g, u) meets _commute exactly when g and u both lie in C_x = {v :
+    a v x = x v a} and a g x = a u x, and its rhs is then (a u x) u a,
+    which (x, u, u) gives too.  So reach[x], the mask of the rhs values
+    over the candidates with element x, is that of (a u x) u a over the u
+    in C_x.  entries keeps (data, rhs) for the first candidate in the
+    scan order of regularity() of each value no earlier one gave, so the
+    first candidate whose rhs lies in a mask is always an entry: per x,
+    the scan meets the letters of C_x grouped by a u x at the least
+    letter g of each group first, as (x, g, u) for each u of the group."""
+    reach, union, entries = [0] * n, 0, []
+    for x in range(n):
+        groups = {}   # a u x -> the u in C_x with that product, ascending
+        for u, table in enumerate(op):
+            aux = table[a][x]
+            if aux == table[x][a]:
+                groups.setdefault(aux, []).append(u)
+        for aux, us in groups.items():
+            for u in us:
+                v = op[u][aux][a]
+                bit = 1 << v
+                reach[x] |= bit
+                if not union & bit:
+                    union |= bit
+                    entries.append(((x, us[0], u), v))
+    return reach, entries
 
 
 def _mul(left, a: int, b: int) -> int:
@@ -303,19 +313,19 @@ class _TableFacts:
 
     pe[x][y] is x g y over every letter g; left[x][B] is xB and am[A] is
     AM; xMy[x][y], Ma[a], MaM[a] and aaMaa[a] are the fixed products of
-    prop2, thm9 and prop5; unions[kind][a] is the mask of the rhs values
-    of the kind over every candidate at a, read off pe through the kind's
-    set form or, for strong regularity, from witnesses[kind][a], the scan
-    of its candidates at a.  Each is computed once per table.  The maps
-    unions, witnesses, AA[A] and AuAMA[A] = A u AMA keep each value asked
-    for, and bmb_closed(wanted) picks the subsets B of a mask with BMB
-    inside B.  The subset tables, products and map entries
-    are built on first use; the maps hold locals, never self, so no cycle
-    keeps a table tier alive."""
+    prop2, thm9 and prop5; strong[a] is strong regularity's (reach,
+    entries) at a (_strong_at); unions[kind][a] is the mask of the rhs
+    values of the kind over every candidate at a, read off pe through the
+    kind's set form or, for strong regularity, the union of strong[a]'s
+    reach.  Each is computed once per table.  The maps unions and
+    AuAMA[A] = A u AMA keep each value asked for, and bmb_closed(wanted)
+    picks the subsets B of a mask with BMB inside B.  The subset tables,
+    products and map entries are built on first use; the maps hold
+    locals, never self, so no cycle keeps a table tier alive."""
 
     def __init__(self, tables: GammaTables):
         n, op = tables.n, tables.op
-        self.n, self.m, self.op = n, tables.m, op
+        self.n, self.op = n, op
         self.full = (1 << n) - 1
         self.pe = [[0] * n for _ in range(n)]
         for table in op:
@@ -324,20 +334,15 @@ class _TableFacts:
                     self.pe[x][y] |= 1 << z
 
     @_cached
-    def witnesses(self) -> dict:
-        op, n, m = self.op, self.n, self.m
-        return _Lazy(lambda kind: [_Witnesses(op, n, m, a, kind) for a in range(n)])
+    def strong(self) -> list:
+        return [_strong_at(self.op, self.n, a) for a in range(self.n)]
 
     @_cached
     def unions(self) -> dict:
-        t, full, n, witnesses = partial(_times, self.pe), self.full, self.n, self.witnesses
-
-        def union_masks(kind):
-            form = _INEQUALITIES[kind][3]
-            if form is None:
-                return [w.union for w in witnesses[kind]]
-            return [form(t, 1 << a, full) for a in range(n)]
-        return _Lazy(union_masks)
+        t, full, n = partial(_times, self.pe), self.full, self.n
+        unions = _Lazy(lambda kind: [_INEQUALITIES[kind][3](t, 1 << a, full) for a in range(n)])
+        unions["strongly-regular"] = [reduce(or_, reach) for reach, _ in self.strong]
+        return unions
 
     @_cached
     def left(self) -> list:
@@ -367,11 +372,6 @@ class _TableFacts:
         return [_mul(left, _mul(left, am[self.pe[a][a]], 1 << a), 1 << a) for a in range(self.n)]
 
     # about two reads in three hit over a (4, 1) sweep's slices
-    @_cached
-    def AA(self) -> dict:
-        left = self.left
-        return _Lazy(lambda a: _mul(left, a, a))
-
     @_cached
     def AuAMA(self) -> dict:
         left, am = self.left, self.am
@@ -416,8 +416,8 @@ class _OrderFacts:
 
     @_cached
     def product_failure(self):
-        clo, aa = self.clo, self.table.AA
-        return next((b for b in self.bi_ideals if clo[aa[b]] != b), None)
+        clo, left = self.clo, self.table.left
+        return next((b for b in self.bi_ideals if clo[_mul(left, b, b)] != b), None)
 
     def generated(self, a: int) -> int:
         """(A u AMA], the bi-ideal generated by a nonempty A"""
@@ -453,11 +453,12 @@ class _Slice:
             return out
         self.holds = _Lazy(witnessed)
 
-    def firsts(self, w: _Witnesses, a: int, target: int):
-        """The posets of target split by the first candidate of a's scan w
-        whose rhs lies above a, as (mask, data) in scan order; every poset
-        of target must be one where holds found a witness for a."""
-        for data, v in w.entries:
+    def firsts(self, entries, a: int, target: int):
+        """The posets of target split by the first of a's strong-regularity
+        entries (the table tier's strong[a]) whose rhs lies above a, as
+        (mask, data) in scan order; every poset of target must be one
+        where holds found a witness for a."""
+        for data, v in entries:
             hit = target & self.inclo[1 << v][a]
             if hit:
                 yield hit, data
@@ -480,9 +481,9 @@ class _Slice:
     def product_property(self) -> int:
         """Where (BB] = B for every bi-ideal B; B is down-closed there, so
         (BB] = B exactly where (BB] and (B] agree."""
-        aa, out = self.table.AA, self.keep
+        left, out = self.table.left, self.keep
         for b, down in self.bi_ideals:
-            out &= ~down | self.same_closure(aa[b], b)
+            out &= ~down | self.same_closure(_mul(left, b, b), b)
         return out
 
     def same_closure(self, s: int, t: int) -> int:
@@ -654,8 +655,8 @@ def compose_cr_witness(s: PoGammaSemigroup, a: int, reg: RegularityWitness,
 def _strongly_regular_within(s: PoGammaSemigroup, mask: int) -> bool:
     """Strong regularity relativized to a subsemigroup given as a mask."""
     o = _facts(s)
-    ws = o.table.witnesses["strongly-regular"]
-    return all(_or_of(ws[b].reach, mask) & o.up[b] for b in _members(mask))
+    strong = o.table.strong
+    return all(_or_of(strong[b][0], mask) & o.up[b] for b in _members(mask))
 
 
 def is_strongly_regular_subset(s: PoGammaSemigroup, t) -> bool:

@@ -266,8 +266,8 @@ def mask_thm8(sl) -> int:
     op, inclo = sl.table.op, sl.inclo
     strong = sl.holds["strongly-regular"]
     bad = 0
-    for a, w in enumerate(sl.table.witnesses["strongly-regular"]):
-        for hit, (x, g, u) in sl.firsts(w, a, strong):
+    for a, (_, entries) in enumerate(sl.table.strong):
+        for hit, (x, g, u) in sl.firsts(entries, a, strong):
             y = _derived_witness(op, a, x, g, u)
             ok = (inclo[1 << _regular_rhs(op, a, y, g, u)][a]
                   & inclo[1 << _regular_rhs(op, y, a, u, g)][y])
@@ -290,7 +290,7 @@ def check_thm9(s: PoGammaSemigroup) -> CheckReport:
     sub_ok, tested = True, set()
     for a in range(s.n):
         span = clo[t.MaM[a]]
-        if t.AA[span] & ~span:
+        if _mul(t.left, span, span) & ~span:
             return _violated("thm9", {"a": a, "subset": _members(span)},
                              f"(M {a} M] is not a subsemigroup")
         if sub_ok and span not in tested:
@@ -312,9 +312,8 @@ def mask_thm9(sl) -> int:
     """check_thm9's violations over a slice, element by element of each
     (M a M]: it is no subsemigroup where uv escapes it for some members u
     and v, and strongly regular within itself where each member b lies
-    below a value of its strong-regularity scan at some member x."""
+    below a value of its strong-regularity reach at some member x."""
     t, inclo = sl.table, sl.inclo
-    ws = t.witnesses["strongly-regular"]
     not_sub, sub_ok = 0, sl.keep
     for mam in t.MaM:
         member = inclo[mam]
@@ -323,10 +322,10 @@ def mask_thm9(sl) -> int:
                 # a uv inside M a M lies inside (M a M] on every poset
                 if uv & ~mam:
                     not_sub |= member[u] & member[v] & ~sl.inside(uv, mam)
-        for b, w in enumerate(ws):
+        for b, (reach, _) in enumerate(t.strong):
             within = 0
-            for x, reach in enumerate(w.reach):
-                within |= member[x] & inclo[reach][b]
+            for x, values in enumerate(reach):
+                within |= member[x] & inclo[values][b]
             sub_ok &= ~member[b] | within
     b1 = sl.holds["strongly-regular"]
     b2 = sl.holds["left-regular"] & sl.holds["right-regular"] & sub_ok

@@ -700,17 +700,18 @@ def test_sweep_generates_the_table_stream_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_sweep_scans_each_witness_once_and_builds_only_listed_structures(monkeypatch, capsys):
+def test_sweep_scans_no_witness_and_builds_only_listed_structures(monkeypatch, capsys):
     # fact tiers and witness scans, counted over a canonical sweep.  Each
     # table builds one table tier, whose slice decides every kept poset at
-    # once from its union masks: the kinds with a set form scan no
-    # candidate, and strong regularity scans its n m^2 candidates once per
-    # element.  Only a structure the report lists is built, and only one
-    # that a claim's mask marks builds a structure tier: the 12 gap
-    # examples of (4, 1) build none.  The slice, every checker and analyze
-    # read the bitmask tables, so the frozenset definitions (every one goes
-    # through set_product or downward_closure) are never called.
-    table_tiers, scans, scanned = (Counter() for _ in range(3))
+    # once from its union masks: the kinds with a set form read it off the
+    # products, and strong regularity off its letter groups, built once
+    # per table, so no candidate is scanned.  Only a structure the report
+    # lists is built, and only one that a claim's mask marks builds a
+    # structure tier: the 12 gap examples of (4, 1) build none.  The
+    # slice, every checker and analyze read the bitmask tables, so the
+    # frozenset definitions (every one goes through set_product or
+    # downward_closure) are never called.
+    table_tiers, strong_builds, scans = (Counter() for _ in range(3))
     structure_tiers = []   # (order, tier) per structure tier built
     frozenset_calls = Counter()
 
@@ -730,16 +731,18 @@ def test_sweep_scans_each_witness_once_and_builds_only_listed_structures(monkeyp
     candidates = setcalc._candidates
 
     def counted_candidates(op, n, m, a, kind):
-        key = op, a, kind
-        scans[key] += 1
-        for candidate in candidates(op, n, m, a, kind):
-            scanned[key] += 1
-            yield candidate
+        scans[op, a, kind] += 1
+        return candidates(op, n, m, a, kind)
 
     class CountedTables(setcalc._TableFacts):
         def __init__(self, tables):
             table_tiers[tables.op] += 1
             super().__init__(tables)
+
+        @setcalc._cached
+        def strong(self):
+            strong_builds[self.op] += 1
+            return super().strong
 
     class CountedOrders(setcalc._OrderFacts):
         def __init__(self, table, order):
@@ -759,11 +762,9 @@ def test_sweep_scans_each_witness_once_and_builds_only_listed_structures(monkeyp
     assert len(table_tiers) == 126
     assert set(table_tiers.values()) == {1}
     assert report.product_without_cr == 12 and structure_tiers == []
-    # one strong scan per tallied table and element, of at most n m^2
-    # candidates, and no scan of any other kind
-    assert sorted(scans) == sorted((t.op, a, "strongly-regular") for t in tallied for a in range(4))
-    assert set(scans.values()) == {1}
-    assert scanned and all(count <= spec.n * spec.m ** 2 for count in scanned.values())
+    # the strong facts built once per tallied table, and no candidate scanned
+    assert strong_builds == table_tiers
+    assert not scans
     assert not frozenset_calls
     # a loaded structure brings its own order object, so each call builds
     # its own structure tier and no call reads another call's

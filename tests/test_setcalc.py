@@ -1,8 +1,9 @@
 """Subset calculus: closures, products, bi-ideals, and witness searches."""
 
 import random
-from functools import partial
+from functools import partial, reduce
 from itertools import product
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -199,7 +200,7 @@ def _assert_order_tier_matches(s):
         [_mask(bi_ideal_generated_formula(s, sa)) for sa in nonempty]
     assert o.principal == tuple(_mask(bi_ideal_generated_formula(s, {a})) for a in range(s.n))
     for a, sa in enumerate(subsets):
-        assert t.AA[a] == _mask(set_product(s, sa, sa))
+        assert setcalc._mul(t.left, a, a) == _mask(set_product(s, sa, sa))
         assert t.AuAMA[a] == _mask(sa | word_product(s, [sa, u, sa]))
     assert t.bmb_closed((1 << len(subsets)) - 1) == \
         _mask(b for b, sb in enumerate(subsets) if word_product(s, [sb, u, sb]) <= sb)
@@ -292,16 +293,30 @@ def test_regularity_agrees_with_exhaustive_first_hit():
 
 def _assert_set_forms_match_the_scan(tables):
     # each set form, X = {x} by X = {x}, against the scan's reach[x], and
-    # every kind's union mask against the scan's union
+    # every kind's union mask against the union of the scan's values.
+    # Strong regularity's facts, from the letter groups, take the place of
+    # a set form: their reach against the scan's, and, for every mask U of
+    # elements, the first entry whose rhs lies in U against the scan's
+    # first candidate there, the witness regularity() returns where U is
+    # the up-set of a
     facts = setcalc._TableFacts(tables)
     t = partial(setcalc._times, facts.pe)
     for kind in REGULARITY_KINDS:
         form = setcalc._INEQUALITIES[kind][3]
         for a in range(tables.n):
-            scan = setcalc._Witnesses(tables.op, tables.n, tables.m, a, kind)
+            scan = list(setcalc._candidates(tables.op, tables.n, tables.m, a, kind))
+            reach = [0] * tables.n
+            for data, v in scan:
+                reach[data[0]] |= 1 << v
             if form is not None:
-                assert [form(t, 1 << a, 1 << x) for x in range(tables.n)] == scan.reach, (kind, a)
-            assert facts.unions[kind][a] == scan.union, (kind, a)
+                assert [form(t, 1 << a, 1 << x) for x in range(tables.n)] == reach, (kind, a)
+            else:
+                strong_reach, entries = facts.strong[a]
+                assert strong_reach == reach, a
+                for up in range(1 << tables.n):
+                    first = next((hit for hit in scan if up >> hit[1] & 1), None)
+                    assert next((e for e in entries if up >> e[1] & 1), None) == first, (a, up)
+            assert facts.unions[kind][a] == reduce(or_, reach), (kind, a)
 
 
 def test_set_forms_match_the_scan_on_every_labeled_table():
@@ -314,11 +329,12 @@ def test_set_forms_match_the_scan_on_every_labeled_table():
 
 
 def test_set_forms_match_the_scan_without_associativity():
-    # the set forms read the rhs's own parentheses, so they hold on any
-    # fill of the tables, associative or not
+    # the set forms read the rhs's own parentheses, and the letter groups
+    # use no law of the products, so they hold on any fill of the tables,
+    # associative or not; (3, 4) gives strong regularity several groups
     rng = random.Random(20131)
     associative = 0
-    for n, m in ((1, 3), (2, 1), (2, 3), (3, 1), (3, 2), (4, 2), (5, 1)) * 30:
+    for n, m in ((1, 3), (2, 1), (2, 3), (3, 1), (3, 2), (4, 2), (5, 1), (3, 4)) * 30:
         op = tuple(tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
                    for _ in range(m))
         tables = GammaTables(n, m, op)
@@ -400,7 +416,7 @@ def test_witness_lists_need_no_subset_tables_past_the_limit():
     assert is_completely_regular(s) == 1
     o = setcalc._facts(s)
     for tier, name in ((o, "clo"), (o, "bi_ideals"),
-                       (o.table, "left"), (o.table, "am"), (o.table, "AA")):
+                       (o.table, "left"), (o.table, "am")):
         with pytest.raises(setcalc.StructureTooLarge):
             getattr(tier, name)
 
