@@ -35,7 +35,7 @@ posets (setcalc's slice, theorems.MASKS), and every tally is a
 popcount.  It tallies one table per class up to isomorphism and
 reversal (a g' b = b g a over the same order), which keeps every flag
 and every claim's status: the walk's full stream stays as it is, and
-at each table the reversed relabelings are compared with it once.  A
+at each table its reversal's relabelings are compared with it once.  A
 table whose reversal has the smaller canonical form is left to that
 form, and one that is not self-dual stands for its dual too, counted
 twice, with its dual's structures listed as the reversals of its own.
@@ -45,8 +45,8 @@ fix both its table and its order; the automorphism comparison that
 picks the minimal orders also records which posets each automorphism
 fixes, and the posets are grouped by that weight.  A class the report
 lists is taken as the byte encodings of its images off _relabelings,
-the identity's alone in a canonical sweep, and off _reversals for a
-dual, the least alone in a canonical sweep, which is the dual's
+the identity's alone in a canonical sweep, and for a dual those of
+its reversed cells, the least alone in a canonical sweep, the dual's
 canonical form as the encoding is table-major.  Only what the report
 keeps is built: the SWEEP_EXAMPLE_CAP smallest gap examples, as the
 flags do not change under relabeling or reversal, and every image of a
@@ -92,9 +92,8 @@ from .model import (
 # sweep modes walk; an n past the table is refused.  Each entry is the
 # largest m whose one-worker CLI sweep, canonical and labeled, ends well
 # inside 60 s on a 2-core VM ((4, 4) takes 22-29 s, (3, 7) 72 s) and whose
-# n! m! relabelings stay within 8! ((2, 8) lists 80,640).  Their reversals
-# are a second list of the same length for n >= 2, and the first list
-# itself at n = 1, so the widest list is still 8! entries, at (1, 8).
+# n! m! relabelings stay within 8! ((2, 8) lists 80,640), so the widest
+# _relabelings list, the one a sweep keeps, is 8! entries, at (1, 8).
 MAX_LETTERS = {1: 8, 2: 7, 3: 6, 4: 4, 5: 1}
 # m * n^2 cells of the labeled table stream (the oracles, random_structures)
 MAX_TABLE_CELLS = 18
@@ -245,15 +244,15 @@ def _tied(cells, pos, relabelings):
     return tied
 
 
-def _self_dual(cells, reversals):
-    """Whether the full canonical table cells is self-dual: True when a
-    reversal maps it to itself, False when each maps it to a larger
-    table, None when one maps it to a smaller one.  The first tie
-    decides, since the reversed images are then the relabelings of
-    cells, over which cells is minimal."""
-    for pi, table_src, _ in reversals:
+def _self_dual(cells, rev, relabelings):
+    """Whether the full canonical table cells is self-dual, given its
+    reversal rev: True when a relabeling maps rev to cells, False when
+    each maps it to a larger table, None when one maps it to a smaller
+    one.  The first tie decides, since the images of rev are then the
+    relabelings of cells, over which cells is minimal."""
+    for pi, table_src, _ in relabelings:
         for k, src in enumerate(table_src):
-            moved = pi[cells[src]]
+            moved = pi[rev[src]]
             if moved != cells[k]:
                 if moved < cells[k]:
                     return None
@@ -422,18 +421,6 @@ def _relabelings(n: int, m: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _reversals(n: int, m: int) -> tuple:
-    """_relabelings composed with reversal, a g' b = b g a: cell (g, a, b)
-    is read from (g, b, a) before the relabeling, and order_src is kept.
-    Reversal moves no cell at n = 1, so there they are _relabelings."""
-    if n == 1:
-        return _relabelings(n, m)
-    swap = [k - k % (n * n) + k % n * n + k // n % n for k in range(m * n * n)]
-    return tuple((pi, tuple(swap[src] for src in table_src), order_src)
-                 for pi, table_src, order_src in _relabelings(n, m))
-
-
 def _minimal_orders(t: GammaTables, keep: int, tied) -> tuple:
     """The posets of mask keep that no automorphism of table t (tied, as
     _walk hands them over, and the identity) maps to a smaller flattened
@@ -580,33 +567,35 @@ def _table_tally(spec: EnumSpec, ids, walked) -> SweepReport:
     for every poset at once.
 
     Reversal keeps every flag and claim status, so t is tallied with its
-    dual, the canonical form of its reversal: nothing is tallied when a
-    reversed relabeling (_reversals) makes t smaller, as the dual is then
-    the smaller table and tallies t, and t counts twice when none ties
-    with it, as t is then not self-dual and the structures over the dual
-    are the reversals of its own.  A canonical sweep counts each
-    canonical structure over t once per such copy.  A labeled sweep
-    counts it once per structure in its orbit and its dual's,
-    n! m! / |Stab(S)| each, where Stab(S) holds the automorphisms of t
-    that also fix its order (orbit-stabilizer), so the posets are grouped
-    by that weight and each isomorphism class is decided once.  A poset the report lists is taken
-    as its images' encodings: image cell k is pi[cells[table_src[k]]] and
-    image entry k is leq[order_src[k]], over the identity alone in a
-    canonical sweep and every relabeling in a labeled one, and for a
-    dual, over every reversal, of which a canonical sweep keeps the least
-    image.  Gap examples stay encodings, cut to the SWEEP_EXAMPLE_CAP
-    smallest, which _merge_partitions builds.  Every image of a structure
-    a selected claim's mask marks is checked in encoding order
-    (table-major, t first) over one tables object per table, so each
-    table tier is built once."""
+    dual, the canonical form of its reversal rev, every letter's table
+    transposed: nothing is tallied when a relabeling of rev makes t
+    smaller, as the dual is then the smaller table and tallies t, and t
+    counts twice when none ties with it, as t is then not self-dual and
+    the structures over the dual are the reversals of its own.  A
+    canonical sweep counts each canonical structure over t once per such
+    copy.  A labeled sweep counts it once per structure in its orbit and
+    its dual's, n! m! / |Stab(S)| each, where Stab(S) holds the
+    automorphisms of t that also fix its order (orbit-stabilizer), so the
+    posets are grouped by that weight and each isomorphism class is
+    decided once.  A poset the report lists is taken as its images'
+    encodings: image cell k is pi[cells[table_src[k]]] and image entry k
+    is leq[order_src[k]], over the identity alone in a canonical sweep
+    and every relabeling in a labeled one, and for a dual, with rev in
+    place of cells, over every relabeling, of which a canonical sweep
+    keeps the least image.  Gap examples stay encodings, cut to the
+    SWEEP_EXAMPLE_CAP smallest, which _merge_partitions builds.  Every
+    image of a structure a selected claim's mask marks is checked in
+    encoding order (table-major, t first) over one tables object per
+    table, so each table tier is built once."""
     t, tied = walked
     r = SweepReport(spec.n, spec.m, spec.canonical_only, True, tuple(ids))
     cells = bytes(chain.from_iterable(chain.from_iterable(t.op)))
-    self_dual = _self_dual(cells, _reversals(t.n, t.m))
+    rev = bytes(chain.from_iterable(chain.from_iterable(zip(*table) for table in t.op)))
+    relabelings = _relabelings(t.n, t.m)
+    self_dual = _self_dual(cells, rev, relabelings)
     if self_dual is None:
         return r
     keep, fixed = _minimal_orders(t, _compatible_orders(t), tied)
-    relabelings = _relabelings(t.n, t.m)
     copies = 1 if self_dual else 2
     if spec.canonical_only:
         weights = {copies: keep}
@@ -626,11 +615,12 @@ def _table_tally(spec: EnumSpec, ids, walked) -> SweepReport:
     for name, mask in counted.items():
         setattr(r, name, sum(weight * (mask & members).bit_count()
                              for weight, members in weights.items()))
-    sides = [relabelings[:1] if spec.canonical_only else relabelings]
+    sides = [(cells, relabelings[:1] if spec.canonical_only else relabelings)]
     if not self_dual:
-        sides.append(_reversals(t.n, t.m))
-    images = [[(bytes([pi[cells[k]] for k in table_src]), order_src)
-               for pi, table_src, order_src in side] for side in sides] if gap | violated else []
+        sides.append((rev, relabelings))
+    images = [[(bytes([pi[source[k]] for k in table_src]), order_src)
+               for pi, table_src, order_src in side]
+              for source, side in sides] if gap | violated else []
     posets, examples, marked = all_partial_orders(t.n), set(), set()
     for i in setcalc._members(gap | violated):
         leq = bytes(chain.from_iterable(posets[i].leq))
@@ -669,9 +659,9 @@ def _merge_partitions(spec: EnumSpec, ids, parts) -> SweepReport:
 def _tallies(tally, tables, workers: int):
     """tally over every walked table, in stream order: in process until
     the sweep has used SWEEP_POOL_AFTER_S of CPU, and then, with more
-    than one worker, by Pool.imap over the rest.  The in-process tallies
-    have filled the poset and reversal caches by then, so forked workers
-    inherit them."""
+    than one worker, by Pool.imap over the rest.  The walk has filled
+    the relabeling cache and the in-process tallies the poset columns by
+    then, so forked workers inherit both."""
     start = time.process_time()
     for walked in tables:
         yield tally(walked)

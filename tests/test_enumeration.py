@@ -829,6 +829,22 @@ def _tallied(tables):
     return [t for t in tables if _cells(t) <= _canonical_cells(_reversed(t))]
 
 
+def test_self_dual_matches_the_reversal_built_in_full():
+    # the dual test against the least relabeling of the reversed table,
+    # each image built in full: None, True and False where it lies below,
+    # at and above the table itself
+    outcomes = Counter()
+    for n, m in CENSUS + ((4, 2),):
+        relabelings = enumeration._relabelings(n, m)
+        for t in enumerate_tables(EnumSpec(n, m)):
+            cells, back = _cells(t), _reversed(t)
+            dual = _canonical_cells(back)
+            expected = None if dual < cells else dual == cells
+            assert enumeration._self_dual(cells, _cells(back), relabelings) is expected
+            outcomes[expected] += 1
+    assert outcomes == {None: 357, True: 409, False: 357}
+
+
 @pytest.mark.parametrize("n,m,count", [(1, 1, 1), (2, 1, 4), (3, 1, 18), (4, 1, 126), (5, 1, 1160),
                                        (2, 2, 6), (2, 3, 7), (3, 2, 41), (3, 3, 71),
                                        (4, 2, 491), (3, 4, 112), (2, 7, 13), (3, 5, 162),
@@ -879,19 +895,20 @@ def test_labeled_structure_count_is_the_orbit_sum_of_canonical_structures(n, m, 
 
 
 def test_sweep_fills_the_posets_before_the_pool_forks(monkeypatch):
-    # the table tallied in process before the pool starts fills both
-    # caches, which forked workers then inherit
+    # both caches are filled when the pool starts, so forked workers
+    # inherit them: the walk fills the relabelings, and the first table
+    # tallied in process fills the poset columns
     filled = []
 
     class Recording(_InProcessPool):
         def __init__(self, processes):
             filled.append((enumeration._poset_columns.cache_info().currsize,
-                           enumeration._reversals.cache_info().currsize))
+                           enumeration._relabelings.cache_info().currsize))
 
     spec = LABELED_SPEC_3_2
     solo = sweep(spec, workers=1)
     enumeration._poset_columns.cache_clear()
-    enumeration._reversals.cache_clear()
+    enumeration._relabelings.cache_clear()
     _pretend_cpus(monkeypatch, 2)
     monkeypatch.setattr(enumeration, "SWEEP_POOL_AFTER_S", 0)
     monkeypatch.setattr(multiprocessing, "Pool", Recording)
