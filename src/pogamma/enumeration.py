@@ -7,11 +7,13 @@ instances that can read it, which model's scan lists, so a partial fill
 is abandoned at the first fully determined instance that fails.
 
 Orders are filtered as bitmasks over the posets of all_partial_orders,
-listed once per process: for each relation entry, one mask holds the
-posets that contain it.  Per table, each pair a <= b maps to the mask of
-the pairs it forces through the products, and one pass over those
-implications keeps the compatible posets, all at once; the tuple scan
-order_compatible stays as the test oracle.
+listed once per process, each extended from one on fewer elements by
+the placements of the new element that keep it transitive: for each
+relation entry, one mask holds the posets that contain it.  Per table,
+each pair a <= b maps to the mask of the pairs it forces through the
+products, and one pass over those implications keeps the compatible
+posets, all at once; the tuple scan order_compatible stays as the test
+oracle.
 
 Canonical forms are minimal byte encodings over every relabeling of
 elements and letters.  The encoding is table-major, so a structure is
@@ -85,15 +87,15 @@ from .model import (
     _forced_pairs,
     equality_order,
     validate_gamma_tables,
-    validate_order,
 )
 
 # Letters per universe size n on the canonical table stream, which both
 # sweep modes walk; an n past the table is refused.  Each entry is the
 # largest m whose one-worker CLI sweep, canonical and labeled, ends well
-# inside 60 s on a 2-core VM ((4, 4) takes 22-29 s, (3, 7) 72 s) and whose
-# n! m! relabelings stay within 8! ((2, 8) lists 80,640), so the widest
-# _relabelings list, the one a sweep keeps, is 8! entries, at (1, 8).
+# inside 60 s on a 2-core VM ((4, 4) takes 8.5-9.3 s, and (3, 7), with the
+# cap lifted in a copy, 38-39 s) and whose n! m! relabelings stay within
+# 8! ((2, 8) lists 80,640), so the widest _relabelings list, the one a
+# sweep keeps, is 8! entries, at (1, 8).
 MAX_LETTERS = {1: 8, 2: 7, 3: 6, 4: 4, 5: 1}
 # m * n^2 cells of the labeled table stream (the oracles, random_structures)
 MAX_TABLE_CELLS = 18
@@ -110,9 +112,9 @@ SWEEP_CHUNK = 16
 # than one worker.  Starting late costs at most T (1 - 1/K) of wall time
 # against pooling from the first table, 0.25 s on 2 workers, while an
 # empty Pool(2) plus the multiprocessing import cost about 0.04 s of CPU.
-# Canonical (4, 1), about 0.13 s of work, took 0.339 s of CPU on a pool
-# of 2 against 0.261 s in process, for 5 ms less wall time (CLI, medians
-# of 20, 2-core VM).
+# Canonical (4, 1), about 0.05 s of work in process, took 0.17 s of wall
+# and of CPU on a pool of 2 started at its first table, against 0.135 s
+# of each in process (CLI, medians of 20, 2-core VM).
 SWEEP_POOL_AFTER_S = 0.5
 
 
@@ -280,19 +282,34 @@ def enumerate_tables_naive(spec: EnumSpec):
 def all_partial_orders(n: int) -> tuple:
     """Every partial order on 0..n-1, sorted by flattened relation.
 
-    A partial order restricts to one on 0..n-2, so the candidates are
-    those extended by each way of relating n-1 to every smaller element
-    at most one way; validate_order keeps the transitive ones.
+    A partial order restricts to one on 0..n-2, and relating n-1 to the
+    smaller elements keeps it one exactly when the set D below n-1 is
+    down-closed, the set U above it is up-closed, the two are disjoint,
+    and every member of D lies below every member of U.  So each order on
+    0..n-2 is extended by those placements alone, each tested as masks
+    over 0..n-2 (element i as bit i); validate_order, which no listing
+    calls, stays as the test oracle.
     """
     if n == 1:
         return (equality_order(1),)
-    candidates = []
+    size, full = 1 << n - 1, (1 << n - 1) - 1
+    extended = []
     for o in all_partial_orders(n - 1):
-        for ways in product(((False, False), (True, False), (False, True)), repeat=n - 1):
-            rows = tuple(row + (up,) for row, (up, _) in zip(o.leq, ways))
-            candidates.append(rows + (tuple(down for _, down in ways) + (True,),))
-    orders = (OrderRelation(n=n, leq=leq) for leq in sorted(candidates))
-    return tuple(o for o in orders if validate_order(o).ok)
+        above = setcalc._bit_masks(o.leq)
+        down = setcalc._union_table(size, setcalc._bit_masks(zip(*o.leq)))
+        up = setcalc._union_table(size, above)
+        ups = [u for u in range(size) if up[u] == u]
+        common = [full]   # common[D]: the elements above every member of D
+        for d in range(1, size):
+            low = d & -d
+            common.append(common[d ^ low] & above[low.bit_length() - 1])
+        for d in range(size):
+            if down[d] == d:
+                allowed = common[d] & ~d
+                rows = tuple(row + (bool(d >> i & 1),) for i, row in enumerate(o.leq))
+                extended += (rows + (tuple(bool(u >> i & 1) for i in range(n - 1)) + (True,),)
+                             for u in ups if not u & ~allowed)
+    return tuple(OrderRelation(n=n, leq=leq) for leq in sorted(extended))
 
 
 def order_compatible(tables: GammaTables, order: OrderRelation) -> bool:
@@ -311,6 +328,14 @@ def _poset_columns(n: int) -> tuple:
             if v:
                 cols[k] |= 1 << i
     return tuple(cols)
+
+
+@lru_cache(maxsize=None)
+def _poset_table(n: int) -> setcalc._PosetTable:
+    """The order facts of every slice at n (setcalc._PosetTable), over the
+    poset columns; built once per n, so a sweep fills it with its first
+    tally, before any pool forks."""
+    return setcalc._PosetTable(n, _poset_columns(n))
 
 
 def _implications(tables: GammaTables) -> list:
@@ -604,7 +629,7 @@ def _table_tally(spec: EnumSpec, ids, walked) -> SweepReport:
         for i in setcalc._members(keep):
             weight = copies * len(relabelings) // sum(mask >> i & 1 for mask in fixed)
             weights[weight] = weights.get(weight, 0) | 1 << i
-    sl = setcalc._Slice(setcalc._table_facts(t), _poset_columns(t.n), keep)
+    sl = setcalc._Slice(setcalc._table_facts(t), _poset_table(t.n), keep)
     flags = _classify_slice(sl)
     gap = flags["product_property"] & ~flags["completely_regular"]
     violated = 0
@@ -660,8 +685,8 @@ def _tallies(tally, tables, workers: int):
     """tally over every walked table, in stream order: in process until
     the sweep has used SWEEP_POOL_AFTER_S of CPU, and then, with more
     than one worker, by Pool.imap over the rest.  The walk has filled
-    the relabeling cache and the in-process tallies the poset columns by
-    then, so forked workers inherit both."""
+    the relabeling cache and the in-process tallies the poset columns and
+    the poset table by then, so forked workers inherit all three."""
     start = time.process_time()
     for walked in tables:
         yield tally(walked)

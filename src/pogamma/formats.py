@@ -40,9 +40,21 @@ class ValidationFailed(ValueError):
         self.report = report
 
 
+def _check_name(name) -> None:
+    """A structure's name is a string that UTF-8 can encode: JSON can
+    spell a lone surrogate ("\\ud800"), which no text output can write."""
+    if not isinstance(name, str):
+        raise FormatError("name must be a string")
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise FormatError(f"name holds the lone surrogate {name[e.start]!r}") from e
+
+
 def structure_to_doc(s: PoGammaSemigroup, name: str | None = None) -> dict:
     doc = {"format": STRUCTURE_FORMAT}
     if name is not None:
+        _check_name(name)
         doc["name"] = name
     doc["n"] = s.n
     doc["m"] = s.m
@@ -61,8 +73,8 @@ def doc_to_structure(doc) -> tuple[PoGammaSemigroup, str | None]:
     if doc.get("format") != STRUCTURE_FORMAT:
         raise FormatError(f"format tag must be {STRUCTURE_FORMAT!r}, got {doc.get('format')!r}")
     name = doc.get("name")
-    if name is not None and not isinstance(name, str):
-        raise FormatError("name must be a string")
+    if name is not None:
+        _check_name(name)
     n = doc.get("n")
     m = doc.get("m")
     if type(n) is not int or n < 1:

@@ -25,14 +25,17 @@ property.  Structures over one table object share its table tier.
 A sweep reads no structure tier for most structures.  The slice,
 _Slice, holds what one table decides over a set of posets at once, each
 fact the mask of the posets where it holds (poset i of
-all_partial_orders(n) as bit i).  It asks the order one question: per
-subset S, the posets where each z lies in (S].  Every other fact reads
-that one: per kind, the posets where every element has a witness, from
-the table tier's union masks; per BMB-closed B, the posets where B is
+all_partial_orders(n) as bit i).  What the order alone decides is the
+poset table, _PosetTable, which asks the order its questions once per
+n, for every subset S: the posets where each z lies in (S], where each
+T lies inside (S], and where S is down-closed.  Every slice fact reads
+it: per kind, the posets where every element has a witness, from the
+table tier's union masks; per BMB-closed B, the posets where B is
 down-closed; and each claim's mask, element by element of the sets it
 compares.
-A sweep builds one table tier and one slice per table, and a structure
-tier only for each structure a claim's mask marks as violated.
+A sweep builds one poset table per n, one table tier and one slice per
+table, and a structure tier only for each structure a claim's mask
+marks as violated.
 
 The frozenset functions (downward_closure, set_product, is_bi_ideal,
 semiprime_failure, ...) stay as the definitions, and the tests hold the
@@ -424,27 +427,46 @@ class _OrderFacts:
         return self.clo[self.table.AuAMA[a]]
 
 
+class _PosetTable:
+    """What the order alone decides over every poset of all_partial_orders(n)
+    at once, poset i as bit i, built from cols[x*n + y], the mask of the
+    posets with x <= y: inclo[S][z] is where z lies in (S], so
+    inclo[1 << v][z] is where z <= v; inside[S][T] is where T lies inside
+    (S], the complement of where some member of T lies outside it; and
+    down[S] is where S is down-closed.  Each is filled for every subset,
+    once per n, the first two by _union_table."""
+
+    def __init__(self, n: int, cols):
+        size, full = _subset_table_size(n), (1 << n) - 1
+        everything = cols[0]   # every poset holds 0 <= 0
+        self.inclo = [list(row) for row in
+                      zip(*(_union_table(size, cols[z * n:z * n + n]) for z in range(n)))]
+        self.inside = [[everything & ~out for out in
+                        _union_table(size, [everything & ~col for col in row])]
+                       for row in self.inclo]
+        self.down = [everything & ~_or_of(row, full & ~s) for s, row in enumerate(self.inclo)]
+
+
 class _Slice:
     """The slice: what one table decides over a set of posets at once.
 
     Poset i of all_partial_orders(n) is bit i of a mask, and keep is the
-    mask of the posets asked about.  The one order fact is inclo[S][z],
-    the posets where z lies in (S], so inclo[1 << v][z] is where z <= v;
-    it is filled from cols[x*n + y], the mask of the posets with x <= y,
-    which nothing else reads.  Every other fact reads inclo and is the
-    mask of the posets in keep where it holds: holds[kind] where every
-    element a has a witness of the kind, that is lies in the closure of
-    the table tier's union mask at a; bi_ideals the subsets B with BMB
-    inside B and where each is down-closed; and product_property where
-    every bi-ideal B equals (BB].  inclo's columns and the complement of
-    a slice mask cover posets outside keep, so a claim's mask built from
-    them ends with & keep.  The maps hold locals, never self, as the
-    table tier's do."""
+    mask of the posets asked about.  The order facts are the poset table
+    of n (_PosetTable), which every slice at n reads and none fills; every
+    other fact reads its inclo and is the mask of the posets in keep where
+    it holds: holds[kind] where every element a has a witness of the
+    kind, that is lies in the closure of the table tier's union mask at
+    a; bi_ideals the subsets B with BMB inside B and where each is
+    down-closed; and product_property where every bi-ideal B equals
+    (BB].  The poset table and the complement of a slice mask cover
+    posets outside keep, so a claim's mask built from them ends with &
+    keep.  The map holds closes over locals, never self, as the table
+    tier's maps do."""
 
-    def __init__(self, table: _TableFacts, cols, keep: int):
-        self.table, self.keep, self.n = table, keep, table.n
-        n, unions = self.n, table.unions
-        inclo = self.inclo = _Lazy(lambda s: [_or_of(cols[z * n:z * n + n], s) for z in range(n)])
+    def __init__(self, table: _TableFacts, posets: _PosetTable, keep: int):
+        self.table, self.posets, self.keep, self.n = table, posets, keep, table.n
+        self.inclo = inclo = posets.inclo
+        unions = table.unions
 
         def witnessed(kind):
             out = keep
@@ -469,12 +491,12 @@ class _Slice:
     @_cached
     def bi_ideals(self) -> list:
         """(B, the posets where B is down-closed) for each nonempty B with BMB
-        inside B and down-closed somewhere: nothing outside B lies below it."""
-        full, out = self.table.full, []
+        inside B and down-closed somewhere."""
+        out, down = [], self.posets.down
         for b in _members(self.table.bmb_closed((1 << (1 << self.n)) - 2)):
-            down = self.keep & ~_or_of(self.inclo[b], full & ~b)
-            if down:
-                out.append((b, down))
+            closed = self.keep & down[b]
+            if closed:
+                out.append((b, closed))
         return out
 
     @_cached
@@ -487,19 +509,9 @@ class _Slice:
         return out
 
     def same_closure(self, s: int, t: int) -> int:
-        """Where (S] = (T]."""
-        differ = 0
-        for x, y in zip(self.inclo[s], self.inclo[t]):
-            differ |= x ^ y
-        return self.keep & ~differ
-
-    def inside(self, t: int, s: int) -> int:
-        """Where T lies inside (S]."""
-        out = self.keep
-        for z, col in enumerate(self.inclo[s]):
-            if t >> z & 1:
-                out &= col
-        return out
+        """Where (S] = (T], that is where each lies inside the other's closure."""
+        inside = self.posets.inside
+        return self.keep & inside[s][t] & inside[t][s]
 
 
 def _or_of(masks, bits: int) -> int:

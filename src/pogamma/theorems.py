@@ -69,16 +69,17 @@ def check_prop2(s: PoGammaSemigroup) -> CheckReport:
 def mask_prop2(sl) -> int:
     """check_prop2's violations over a slice, element pair by element pair:
     B(x)MB(y) is the union of uMv over the u in B(x) and the v in B(y)."""
-    t, inclo = sl.table, sl.inclo
+    t, inclo, inside = sl.table, sl.inclo, sl.posets.inside
     principal = [inclo[t.AuAMA[1 << x]] for x in range(sl.n)]
     bad = 0
     for bx, xM in zip(principal, t.xMy):
         for by, xMy in zip(principal, xM):
+            within = inside[xMy]
             for u, uM in enumerate(t.xMy):
                 for v, uMv in enumerate(uM):
                     # a uMv inside xMy lies inside (xMy] on every poset
                     if uMv & ~xMy:
-                        bad |= bx[u] & by[v] & ~sl.inside(uMv, xMy)
+                        bad |= bx[u] & by[v] & ~within[uMv]
     return bad & sl.keep
 
 
@@ -313,15 +314,15 @@ def mask_thm9(sl) -> int:
     (M a M]: it is no subsemigroup where uv escapes it for some members u
     and v, and strongly regular within itself where each member b lies
     below a value of its strong-regularity reach at some member x."""
-    t, inclo = sl.table, sl.inclo
+    t, inclo, inside = sl.table, sl.inclo, sl.posets.inside
     not_sub, sub_ok = 0, sl.keep
     for mam in t.MaM:
-        member = inclo[mam]
+        member, within = inclo[mam], inside[mam]
         for u, row in enumerate(t.pe):
             for v, uv in enumerate(row):
                 # a uv inside M a M lies inside (M a M] on every poset
                 if uv & ~mam:
-                    not_sub |= member[u] & member[v] & ~sl.inside(uv, mam)
+                    not_sub |= member[u] & member[v] & ~within[uv]
         for b, (reach, _) in enumerate(t.strong):
             within = 0
             for x, values in enumerate(reach):

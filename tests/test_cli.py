@@ -123,6 +123,24 @@ def test_non_utf8_input_exits_2_without_output(command, content, tmp_path, capsy
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("command", LOADING_COMMANDS)
+def test_a_name_with_a_lone_surrogate_exits_2(command, fmt, to_file, tmp_path, capsys):
+    # valid UTF-8 on disk, but no text output can encode the name it spells
+    path = tmp_path / "input.json"
+    path.write_text(f'{{"format": "{STRUCTURE_FORMAT}", "name": "\\ud800", "n": 1, "m": 1, '
+                    '"tables": [[[0]]], "order": [[1]]}', encoding="utf-8")
+    out_path = tmp_path / "report.txt"
+    argv = [command, str(path), "--format", fmt] + (["--out", str(out_path)] if to_file else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "lone surrogate" in captured.err
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--n", "1", "--m", "1"],
     ["check", MIN_CHAIN],

@@ -223,7 +223,7 @@ def test_partial_order_counts_and_validity():
         assert list(orders) == sorted(orders, key=lambda o: o.leq)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_partial_orders_equal_the_brute_filter(n):
     # every boolean matrix, in flattened order, kept when reflexive,
     # antisymmetric and transitive, written out here without validate_order
@@ -237,6 +237,19 @@ def test_partial_orders_equal_the_brute_filter(n):
                         for a in els for b in els for c in els)):
             brute.append(leq)
     assert [o.leq for o in all_partial_orders(n)] == brute
+
+
+def test_five_element_posets_are_pinned():
+    # OEIS A001035 gives 4231; the listing calls no validate_order, which
+    # stays its oracle, and the digest of the flattened relations was
+    # taken off the listing that filtered every candidate through it
+    orders = all_partial_orders(5)
+    assert len(orders) == 4231
+    assert all(validate_order(o).ok for o in orders)
+    assert list(orders) == sorted(orders, key=lambda o: o.leq)
+    flat = bytes(int(v) for o in orders for row in o.leq for v in row)
+    assert hashlib.sha256(flat).hexdigest() == \
+        "2513d2a66341b1b9aa7b4b64990d16ec117d83c921f2b5b3258209308d471616"
 
 
 def test_enumerate_orders_matches_the_validator():
@@ -895,25 +908,41 @@ def test_labeled_structure_count_is_the_orbit_sum_of_canonical_structures(n, m, 
 
 
 def test_sweep_fills_the_posets_before_the_pool_forks(monkeypatch):
-    # both caches are filled when the pool starts, so forked workers
+    # every cache is filled when the pool starts, so forked workers
     # inherit them: the walk fills the relabelings, and the first table
-    # tallied in process fills the poset columns
+    # tallied in process fills the poset columns and the poset table
     filled = []
+    caches = (enumeration._poset_columns, enumeration._poset_table, enumeration._relabelings)
 
     class Recording(_InProcessPool):
         def __init__(self, processes):
-            filled.append((enumeration._poset_columns.cache_info().currsize,
-                           enumeration._relabelings.cache_info().currsize))
+            filled.append(tuple(cache.cache_info().currsize for cache in caches))
 
     spec = LABELED_SPEC_3_2
     solo = sweep(spec, workers=1)
-    enumeration._poset_columns.cache_clear()
-    enumeration._relabelings.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
     _pretend_cpus(monkeypatch, 2)
     monkeypatch.setattr(enumeration, "SWEEP_POOL_AFTER_S", 0)
     monkeypatch.setattr(multiprocessing, "Pool", Recording)
     assert sweep(spec, workers=2) == solo
-    assert filled == [(1, 1)]
+    assert filled == [(1, 1, 1)]
+
+
+def test_slices_at_one_n_read_one_poset_table(monkeypatch):
+    # the poset table is built once per n, and its cache, not a slice,
+    # owns it: every slice of a sweep reads the one object
+    read = []
+
+    class Recording(setcalc._Slice):
+        def __init__(self, table, posets, keep):
+            super().__init__(table, posets, keep)
+            read.append(posets)
+
+    monkeypatch.setattr(setcalc, "_Slice", Recording)
+    sweep(EnumSpec(3, 2))
+    assert len(read) > 1
+    assert all(posets is enumeration._poset_table(3) for posets in read)
 
 
 @lru_cache(maxsize=None)
@@ -946,19 +975,40 @@ def _closure_at(cols, i):
     return _mask(z for z, col in enumerate(cols) if _bits(col, i))
 
 
+@lru_cache(maxsize=None)
+def _assert_poset_table(n):
+    # every entry of the poset table of n against downward_closure on each
+    # poset: per subset S, the posets grouped by (S] on them give where
+    # each z lies in (S] (inclo[S][z]), where each T lies inside (S]
+    # (inside[S][T]) and where S is down-closed (down[S])
+    table, size = enumeration._poset_table(n), 1 << n
+    null = GammaTables(n=n, m=1, op=(((0,) * n,) * n,))
+    structures = [PoGammaSemigroup(tables=null, order=o) for o in all_partial_orders(n)]
+    for s in range(size):
+        members = setcalc._members(s)
+        by_closure = [0] * size
+        for i, structure in enumerate(structures):
+            by_closure[_mask(setcalc.downward_closure(structure, members))] |= 1 << i
+        assert table.inclo[s] == [sum(p for c, p in enumerate(by_closure) if _bits(c, z))
+                                  for z in range(n)]
+        assert table.inside[s] == [sum(p for c, p in enumerate(by_closure) if not t & ~c)
+                                   for t in range(size)]
+        assert table.down[s] == by_closure[s]
+
+
 def _assert_slice_matches_each_structure(t, keep):
     # the sliced flags against classify and each claim's violation mask
     # against its checker, poset by poset, and each side the masks read:
     # the witness kinds, the bi-ideals, the product property and every
-    # filled column of inclo, which gives B(a), B(aa), B(aaMaa), (M a M],
-    # (M a], (a M] and (x M y]; returns the violation masks
+    # entry of the poset table, which gives B(a), B(aa), B(aaMaa),
+    # (M a M], (M a], (a M] and (x M y]; returns the violation masks
     n = t.n
     posets = all_partial_orders(n)
-    sl = setcalc._Slice(setcalc._TableFacts(t), enumeration._poset_columns(n), keep)
+    _assert_poset_table(n)
+    sl = setcalc._Slice(setcalc._TableFacts(t), enumeration._poset_table(n), keep)
     flags = enumeration._classify_slice(sl)
     masks = {tid: mask(sl) for tid, mask in theorems.MASKS.items()}
     holds = {kind: sl.holds[kind] for kind in setcalc.REGULARITY_KINDS}
-    filled = dict(sl.inclo)
     for i in setcalc._members(keep):
         s = PoGammaSemigroup(tables=t, order=posets[i])
         assert {key: _bits(flag, i) for key, flag in flags.items()} == classify(s)
@@ -974,9 +1024,6 @@ def _assert_slice_matches_each_structure(t, keep):
         assert [b for b, down in sl.bi_ideals if _bits(down, i)] == [_mask(b) for b in bi_ideals]
         assert _bits(sl.product_property, i) == all(
             setcalc.downward_closure(s, setcalc.set_product(s, b, b)) == b for b in bi_ideals)
-        clo = setcalc._facts(s).clo
-        for value, cols in filled.items():
-            assert _closure_at(cols, i) == clo[value]
         assert [_closure_at(sl.inclo[sl.table.AuAMA[1 << a]], i) for a in range(n)] == \
             [_mask(setcalc.bi_ideal_generated_formula(s, {a})) for a in range(n)]
     # nothing is decided for a poset outside keep
@@ -1043,7 +1090,7 @@ def test_table_tier_and_slice_are_freed_without_the_collector():
     gc.disable()
     try:
         table = setcalc._TableFacts(t)
-        sl = setcalc._Slice(table, enumeration._poset_columns(t.n), enumeration._compatible_orders(t))
+        sl = setcalc._Slice(table, enumeration._poset_table(t.n), enumeration._compatible_orders(t))
         enumeration._classify_slice(sl)
         assert sl.holds["strongly-regular"]
         for mask in theorems.MASKS.values():

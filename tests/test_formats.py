@@ -108,10 +108,19 @@ def test_repeated_key_is_a_format_error(text, key, tmp_path):
       "tables": [[[0, 0], [0, 0]]], "order": [[1, 0]]}, "order must be"),
     ({"format": STRUCTURE_FORMAT, "n": 2, "m": 1,
       "tables": [[[0, 0], [0, 0]]], "order": [[1, 2], [0, 1]]}, "order\\[0\\]\\[1\\]"),
+    ({"format": STRUCTURE_FORMAT, "name": "chain \ud800", "n": 1, "m": 1,
+      "tables": [[[0]]], "order": [[1]]}, "lone surrogate"),
 ])
 def test_strict_parsing_rejections(doc, fragment):
     with pytest.raises(FormatError, match=fragment):
         doc_to_structure(doc)
+
+
+def test_save_structure_refuses_a_name_load_would_refuse(tmp_path):
+    path = tmp_path / "named.json"
+    with pytest.raises(FormatError, match="lone surrogate"):
+        save_structure(path, make_min_chain(), "chain \udfff")
+    assert not path.exists()
 
 
 def test_axiom_breaking_file_raises_validation_failed(tmp_path):
